@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use thynvm_types::rng::{mix, unit};
 use thynvm_types::{
-    DramFaultConfig, FaultKind, HwAddr, MediaFaultConfig, SecurityConfig, BLOCK_BYTES,
+    DramFaultConfig, FaultKind, FxHashMap, HwAddr, MediaFaultConfig, SecurityConfig, BLOCK_BYTES,
 };
 
 use crate::device::WearStats;
@@ -453,24 +453,24 @@ pub struct SecurityPersist {
 ///
 /// Counter lifecycle (Zuo et al., arXiv:1901.00620): the controller bumps
 /// a block's write counter on every encrypted NVM write
-/// ([`SecurityModel::note_block_write`]); at each epoch boundary the dirty
-/// counters and their integrity-tree path are persisted
-/// ([`SecurityModel::persist`]) under the checkpoint's commit-record
-/// discipline; a crash reverts the volatile table to the last persisted
-/// snapshot ([`SecurityModel::crash`]) and reports exactly how many
-/// counters were lost — recovery *replays* that bounded set, never
-/// guesses.
+/// ([`SecurityModel::note_block_write`], one Fx-map probe); at each epoch
+/// boundary the dirty list's counters and their integrity-tree path are
+/// persisted ([`SecurityModel::persist`]) under the checkpoint's
+/// commit-record discipline; a crash rewinds only the dirty rows
+/// ([`SecurityModel::crash`]) and reports exactly how many counters were
+/// lost — recovery *replays* that bounded set, never guesses.
 #[derive(Debug, Clone)]
 pub struct SecurityModel {
     seed: u64,
     arity: u64,
     tamper_rate: f64,
-    /// Volatile counter cache in the memory controller.
-    counters: BTreeMap<u64, u64>,
-    /// Last crash-consistently persisted counter table.
-    persisted: BTreeMap<u64, u64>,
-    /// Blocks whose counters were bumped since the last persist.
-    dirty: BTreeSet<u64>,
+    /// Block number (aligned byte addresses would zero Fx's low hash bits)
+    /// → (volatile counter, last persisted counter); `0` means no entry.
+    counters: FxHashMap<u64, (u64, u64)>,
+    /// Blocks whose volatile counter left its persisted value this epoch.
+    dirty: Vec<u64>,
+    /// Blocks with a nonzero persisted counter.
+    persisted_entries: usize,
     /// Generation of the persisted table (bumped once per persist); the
     /// integrity-tree root authenticates table + generation, which is what
     /// makes a rolled-back table (replay attack) detectable.
@@ -493,9 +493,9 @@ impl SecurityModel {
             seed: cfg.seed,
             arity: u64::from(cfg.tree_arity.max(2)),
             tamper_rate: cfg.tamper_rate,
-            counters: BTreeMap::new(),
-            persisted: BTreeMap::new(),
-            dirty: BTreeSet::new(),
+            counters: FxHashMap::default(),
+            dirty: Vec::new(),
+            persisted_entries: 0,
             generation: 0,
             root_torn: false,
             stale_table: false,
@@ -507,11 +507,11 @@ impl SecurityModel {
     /// device address `block`: bumps its write counter and marks it dirty.
     /// Returns the new counter value.
     pub fn note_block_write(&mut self, block: u64) -> u64 {
-        let b = block & !(BLOCK_BYTES - 1);
-        let c = self.counters.entry(b).or_insert(0);
-        *c += 1;
-        self.dirty.insert(b);
-        *c
+        let b = block / BLOCK_BYTES;
+        let row = self.counters.entry(b).or_default();
+        self.dirty.extend((row.0 == row.1).then_some(b));
+        row.0 += 1;
+        row.0
     }
 
     /// Number of counters bumped since the last persist — the exact
@@ -522,7 +522,7 @@ impl SecurityModel {
 
     /// Number of entries in the persisted counter table.
     pub fn table_entries(&self) -> usize {
-        self.persisted.len()
+        self.persisted_entries
     }
 
     /// Generation of the persisted counter table.
@@ -539,22 +539,20 @@ impl SecurityModel {
     pub fn persist(&mut self) -> SecurityPersist {
         let counter_entries = self.dirty.len();
         let mut tree_nodes = 0u64;
-        if counter_entries > 0 {
-            let mut level: BTreeSet<u64> =
-                self.dirty.iter().map(|b| b / BLOCK_BYTES).collect();
-            loop {
-                let parents: BTreeSet<u64> = level.iter().map(|i| i / self.arity).collect();
-                tree_nodes += parents.len() as u64;
-                if parents.len() == 1 && parents.contains(&0) {
-                    break;
-                }
-                level = parents;
+        for &b in &self.dirty {
+            let row = self.counters.entry(b).or_default();
+            self.persisted_entries += usize::from(row.1 == 0);
+            row.1 = row.0;
+        }
+        // Walk the tree levels in place: division keeps the list sorted.
+        self.dirty.sort_unstable();
+        while !self.dirty.is_empty() {
+            self.dirty.iter_mut().for_each(|i| *i /= self.arity);
+            self.dirty.dedup();
+            tree_nodes += self.dirty.len() as u64;
+            if self.dirty[..] == [0] {
+                self.dirty.clear();
             }
-            for &b in &self.dirty {
-                let c = self.counters.get(&b).copied().unwrap_or(0);
-                self.persisted.insert(b, c);
-            }
-            self.dirty.clear();
         }
         self.generation += 1;
         SecurityPersist { counter_entries, tree_nodes }
@@ -565,8 +563,9 @@ impl SecurityModel {
     /// set recovery must replay.
     pub fn crash(&mut self) -> usize {
         let lost = self.dirty.len();
-        self.counters = self.persisted.clone();
-        self.dirty.clear();
+        for b in self.dirty.drain(..) {
+            self.counters.entry(b).and_modify(|row| row.0 = row.1);
+        }
         lost
     }
 
@@ -606,8 +605,8 @@ impl SecurityModel {
     /// unrecoverable path: no counter or tree state survives.
     pub fn reset(&mut self) {
         self.counters.clear();
-        self.persisted.clear();
         self.dirty.clear();
+        self.persisted_entries = 0;
         self.generation = 0;
         self.root_torn = false;
         self.stale_table = false;
@@ -1037,5 +1036,136 @@ mod tests {
         assert!(m.poisoned_in(0, 64).is_empty());
         assert!(m.clear_block(64));
         assert!(!m.clear_block(64));
+    }
+
+    /// The counter table as it was first modeled — a `BTreeMap` counter
+    /// cache, a `BTreeMap` persisted table and a `BTreeSet` dirty set —
+    /// kept as the reference the production layout must match bit for bit.
+    struct BTreeCounterTable {
+        arity: u64,
+        counters: BTreeMap<u64, u64>,
+        persisted: BTreeMap<u64, u64>,
+        dirty: BTreeSet<u64>,
+        generation: u64,
+    }
+
+    impl BTreeCounterTable {
+        fn new(arity: u32) -> Self {
+            Self {
+                arity: u64::from(arity.max(2)),
+                counters: BTreeMap::new(),
+                persisted: BTreeMap::new(),
+                dirty: BTreeSet::new(),
+                generation: 0,
+            }
+        }
+
+        fn note_block_write(&mut self, block: u64) -> u64 {
+            let b = block & !(BLOCK_BYTES - 1);
+            let c = self.counters.entry(b).or_insert(0);
+            *c += 1;
+            self.dirty.insert(b);
+            *c
+        }
+
+        fn persist(&mut self) -> SecurityPersist {
+            let counter_entries = self.dirty.len();
+            let mut tree_nodes = 0u64;
+            if counter_entries > 0 {
+                let mut level: BTreeSet<u64> =
+                    self.dirty.iter().map(|b| b / BLOCK_BYTES).collect();
+                loop {
+                    let parents: BTreeSet<u64> = level.iter().map(|i| i / self.arity).collect();
+                    tree_nodes += parents.len() as u64;
+                    if parents.len() == 1 && parents.contains(&0) {
+                        break;
+                    }
+                    level = parents;
+                }
+                for &b in &self.dirty {
+                    let c = self.counters.get(&b).copied().unwrap_or(0);
+                    self.persisted.insert(b, c);
+                }
+                self.dirty.clear();
+            }
+            self.generation += 1;
+            SecurityPersist { counter_entries, tree_nodes }
+        }
+
+        fn crash(&mut self) -> usize {
+            let lost = self.dirty.len();
+            self.counters = self.persisted.clone();
+            self.dirty.clear();
+            lost
+        }
+
+        fn reset(&mut self) {
+            self.counters.clear();
+            self.persisted.clear();
+            self.dirty.clear();
+            self.generation = 0;
+        }
+    }
+
+    /// Draws one block address: mostly from a small hot set (so counters
+    /// repeat and crashes revert persisted rows), unaligned inside its
+    /// block, sometimes above 4 GiB, and occasionally near the top of the
+    /// address space where the integrity tree is deepest.
+    fn diff_addr(h: u64) -> u64 {
+        let offset = (h >> 40) % BLOCK_BYTES;
+        match h % 8 {
+            0..=4 => (h >> 8) % 256 * BLOCK_BYTES + offset,
+            5 => (4 << 30) + (h >> 8) % 4096 * BLOCK_BYTES + offset,
+            6 => (h >> 8) % (1 << 24) * BLOCK_BYTES + offset,
+            _ => u64::MAX - (h >> 8) % 64 * BLOCK_BYTES,
+        }
+    }
+
+    #[test]
+    fn security_counter_table_matches_btree_reference() {
+        for arity in [2u32, 3, 7, 8, 16, 64] {
+            for seed in 0..8u64 {
+                let cfg =
+                    SecurityConfig { enabled: true, seed, tree_arity: arity, ..Default::default() };
+                let mut fast = SecurityModel::new(&cfg);
+                let mut reference = BTreeCounterTable::new(arity);
+                let (mut persists, mut crashes, mut resets) = (0, 0, 0);
+                for step in 0..4000u64 {
+                    let h = mix(seed ^ (u64::from(arity) << 32), step);
+                    let at = format!("arity {arity}, seed {seed}, step {step}");
+                    match (h >> 56) % 64 {
+                        0..=3 => {
+                            persists += 1;
+                            assert_eq!(fast.persist(), reference.persist(), "persist at {at}");
+                        }
+                        4..=5 => {
+                            crashes += 1;
+                            assert_eq!(fast.crash(), reference.crash(), "crash at {at}");
+                        }
+                        6 if step % 3 == 0 => {
+                            resets += 1;
+                            fast.reset();
+                            reference.reset();
+                        }
+                        _ => {
+                            let a = diff_addr(h);
+                            assert_eq!(
+                                fast.note_block_write(a),
+                                reference.note_block_write(a),
+                                "bump of {a:#x} at {at}"
+                            );
+                        }
+                    }
+                    assert_eq!(fast.dirty_count(), reference.dirty.len(), "dirty_count at {at}");
+                    assert_eq!(
+                        fast.table_entries(),
+                        reference.persisted.len(),
+                        "table_entries at {at}"
+                    );
+                    assert_eq!(fast.generation(), reference.generation, "generation at {at}");
+                }
+                assert!(persists > 0 && crashes > 0 && resets > 0, "every operation exercised");
+            }
+        }
     }
 }
