@@ -49,7 +49,7 @@ use thynvm_mem::{
 use thynvm_types::{
     AccessKind, BlockIndex, CkptMode, CkptPhase, Cycle, Error, FaultKind, FxHashMap, FxHashSet,
     HealthRung, HwAddr, MemRequest, MemStats, MemorySystem, NvmWriteClass, PageIndex, PhysAddr,
-    RecoveryStep, RetryPolicy, SystemConfig, TraceEvent, BLOCK_BYTES, PAGE_BYTES,
+    RecoveryOutcome, RecoveryStep, RetryPolicy, SystemConfig, TraceEvent, BLOCK_BYTES, PAGE_BYTES,
 };
 
 use crate::epoch::{CkptJob, EpochState};
@@ -98,6 +98,17 @@ pub enum MediaFault {
     /// The serialized PTT metadata image in the backup region is corrupted,
     /// failing its metadata checksum.
     CorruptPttMetadata,
+}
+
+impl MediaFault {
+    /// The fault class recovery records when it finds this fault.
+    fn kind(self) -> FaultKind {
+        match self {
+            MediaFault::TornCommitRecord => FaultKind::TornWrite,
+            MediaFault::ClastBitFlip { .. } => FaultKind::BitFlip,
+            MediaFault::CorruptPttMetadata => FaultKind::Metadata,
+        }
+    }
 }
 
 /// An adversarial tamper injected into persisted secure-mode state.
@@ -169,6 +180,46 @@ pub struct RecoveryReport {
     pub attempts: u64,
 }
 
+/// What a recovery found, accumulated across its steps and attempts: the
+/// in-flight checkpoint was discarded, `C_last` failed verification, or
+/// both images failed authentication. The flags are independent; the
+/// crash-event outcome reports the most severe.
+#[derive(Debug, Clone, Copy, Default)]
+struct Verdict {
+    rolled_back_incomplete: bool,
+    integrity_fallback: bool,
+    unrecoverable: bool,
+}
+
+impl Verdict {
+    /// The verdict a finished recovery reported.
+    fn of(report: &RecoveryReport) -> Self {
+        Self {
+            rolled_back_incomplete: report.rolled_back_incomplete,
+            integrity_fallback: report.integrity_fallback,
+            unrecoverable: report.unrecoverable,
+        }
+    }
+
+    /// Which checkpoint the recovery restored, most severe finding first.
+    fn outcome(self) -> RecoveryOutcome {
+        if self.unrecoverable {
+            RecoveryOutcome::Unrecoverable
+        } else if self.integrity_fallback {
+            RecoveryOutcome::CPenultIntegrityFallback
+        } else if self.rolled_back_incomplete {
+            RecoveryOutcome::CPenult
+        } else {
+            RecoveryOutcome::CLast
+        }
+    }
+}
+
+/// One recovery attempt's result: the completed steps with the cycle each
+/// completed at, the pages restored and the end cycle — or the cycle of the
+/// queued crash point that aborted it.
+type RecoveryPass = Result<(Vec<(RecoveryStep, Cycle)>, usize, Cycle), Cycle>;
+
 /// Result of one crash injected through [`ThyNvm::arm_crash_point`]:
 /// the observability record, the §4.5 recovery report, and the cycle at
 /// which the rebooted system resumes.
@@ -188,6 +239,47 @@ pub struct InjectedCrash {
 #[derive(Debug, Clone, Copy)]
 struct PendingPage {
     target: Region,
+}
+
+/// What one NVM write carries. Every device write names its kind and goes
+/// through [`ThyNvm::nvm_write`], whose single `match` derives the rest:
+/// the traffic class and recorded bytes, CRC work, wear and encryption,
+/// and whether (and as what) the write enters the persist buffer. The
+/// table is spelled out in DESIGN.md §4.1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NvmWrite {
+    /// A CPU store or checkpoint-time cache flush serviced in NVM by block
+    /// remapping: wear and encryption, persist buffer, no CRC.
+    Store { bytes: u64, class: NvmWriteClass },
+    /// The Working Data Region placed in NVM (§4.1 footnote 3): CPU
+    /// traffic with no fault-domain hooks.
+    Working { bytes: u64 },
+    /// A checkpoint writeback of a buffered block or dirty page: wear,
+    /// encryption, per-64 B CRCs and the persist buffer.
+    Writeback { bytes: u64 },
+    /// A scheme-switch or reclaim copy (demotion, reclaim, quarantine
+    /// copy-home): wear and encryption only.
+    Migration { bytes: u64 },
+    /// A bad-block remap's 64 B payload: a migration write that also
+    /// enters the persist buffer.
+    RemapPayload,
+    /// A 64 B CRC-sealed write-ahead-log record through the persist buffer.
+    Wal,
+    /// A WAL record written around the persist buffer (recovery-side
+    /// fallbacks, the rung-override seal).
+    WalUnbuffered,
+    /// A BTT/PTT image or the health record: CRC over the recorded bytes,
+    /// at least one 64 B device burst.
+    Metadata { bytes: u64 },
+    /// Dirty encryption counters or integrity-tree nodes: no CRC, no
+    /// encryption, at least one 64 B device burst.
+    SecurityTable { bytes: u64 },
+    /// The 64 B security root + MAC record: encrypted, no CRC.
+    SecurityRoot,
+    /// The checkpoint commit record: a checksummed 64 B write recorded as
+    /// the 1 B completion flag, pushed as the persist buffer's commit
+    /// marker.
+    CommitRecord,
 }
 
 /// The ThyNVM hybrid persistent-memory controller.
@@ -284,15 +376,10 @@ pub struct ThyNvm {
     /// integrity checking): `(physical byte, XOR mask)` to apply to the
     /// delivered buffer.
     pending_corruption: Option<(u64, u8)>,
-    /// Injected latent fault: the next recovery's `C_last` commit record is
-    /// torn.
-    injected_torn_commit: bool,
-    /// Injected latent fault: a data bit of the next recovery's `C_last`
-    /// flipped at this physical address.
-    injected_clast_flip: Option<u64>,
-    /// Injected latent fault: the next recovery's serialized PTT metadata
-    /// is corrupted.
-    injected_meta_corrupt: bool,
+    /// Injected latent faults in the next recovery's `C_last`, at most one
+    /// per [`MediaFault`] kind. Recovery peeks them at verification and
+    /// consumes them all once a fallback makes `C_last` unreachable.
+    injected_media: Vec<MediaFault>,
     /// The most recent unrecoverable-read error (retries exhausted before a
     /// remap healed the block, or the spare pool drained), for inspection.
     last_media_error: Option<Error>,
@@ -407,9 +494,7 @@ impl ThyNvm {
             reclaim_scratch: Vec::new(),
             next_spare_slot: 0,
             pending_corruption: None,
-            injected_torn_commit: false,
-            injected_clast_flip: None,
-            injected_meta_corrupt: false,
+            injected_media: Vec::new(),
             last_media_error: None,
             last_overflow_error: None,
             wal_seq: 0,
@@ -590,21 +675,12 @@ impl ThyNvm {
         inflight += self.nvm_wq.len_at(at) + self.dram_wq.len_at(at);
 
         let report = self.crash_and_recover(at);
-        let outcome = if report.unrecoverable {
-            thynvm_types::RecoveryOutcome::Unrecoverable
-        } else if report.integrity_fallback {
-            thynvm_types::RecoveryOutcome::CPenultIntegrityFallback
-        } else if report.rolled_back_incomplete {
-            thynvm_types::RecoveryOutcome::CPenult
-        } else {
-            thynvm_types::RecoveryOutcome::CLast
-        };
         let event = thynvm_types::CrashEvent {
             cycle: at,
             epoch: epoch_id,
             phase,
             inflight_writebacks: inflight,
-            outcome,
+            outcome: Verdict::of(&report).outcome(),
             recovery_step: None,
         };
         self.stats.record_crash(event.clone());
@@ -655,11 +731,9 @@ impl ThyNvm {
     /// its integrity verification and recovery falls back to `C_penult`.
     /// With no completed checkpoint at recovery time the fault stays armed.
     pub fn inject_media_fault(&mut self, fault: MediaFault) {
-        match fault {
-            MediaFault::TornCommitRecord => self.injected_torn_commit = true,
-            MediaFault::ClastBitFlip { addr } => self.injected_clast_flip = Some(addr),
-            MediaFault::CorruptPttMetadata => self.injected_meta_corrupt = true,
-        }
+        // Re-arming a kind replaces the armed fault of that kind.
+        self.injected_media.retain(|f| std::mem::discriminant(f) != std::mem::discriminant(&fault));
+        self.injected_media.push(fault);
     }
 
     // ------------------------------------------------------------------
@@ -729,7 +803,8 @@ impl ThyNvm {
     /// Test hook: suppress every [`Self::wpq_fence`] until the next
     /// commit-record push, so the ordering audit (the runtime counterpart
     /// of lint rule L10) can be exercised without editing the checkpoint
-    /// path. Cleared by [`Self::wpq_push_marker`] once the audit has run.
+    /// path. Cleared by the next commit-record write ([`Self::nvm_write`])
+    /// once the audit has run.
     pub fn skip_next_fence(&mut self) {
         self.wpq_skip_next_fence = true;
     }
@@ -752,35 +827,90 @@ impl ThyNvm {
         }
     }
 
-    /// Mirrors an NVM device write into the persist buffer (timing-only
-    /// entry: content plumbing lives in the buffer's own unit tests and
-    /// sink). Returns the cycle the issuer may proceed — later than
-    /// `issue` when the buffer was full and back-pressured.
-    fn wpq_push(&mut self, hw: HwAddr, issue: Cycle, retire: Cycle, kind: WpqKind) -> Cycle {
-        match self.pbuf.as_mut() {
-            Some(p) => {
-                let resume = p.push(hw, &[], issue, retire, kind);
+    /// The one NVM write primitive: issues the device write of `kind` at
+    /// `hw` and applies every fault-domain hook the kind calls for — the
+    /// traffic class and recorded bytes, CRC work, wear and encryption,
+    /// and the persist-buffer entry. A commit record is pushed as the
+    /// buffer's commit marker, auditing §4.4 on the way: data entries
+    /// still held at that point mean the mandatory fence was skipped, and
+    /// the violation is kept for `take_ordering_error`. Returns the cycle
+    /// the write lands and the cycle the issuer may proceed (later than
+    /// `issue` when the persist buffer was full and back-pressured).
+    fn nvm_write(&mut self, hw: HwAddr, kind: NvmWrite, issue: Cycle) -> (Cycle, Cycle) {
+        use NvmWriteClass::{Checkpoint, Cpu, Migration};
+        use WpqKind::{CommitMarker, Data};
+        // (device bytes, recorded bytes, class, CRC bytes, wear, encrypted
+        // bytes, persist-buffer entry). Metadata images occupy at least one
+        // 64 B burst on the device.
+        let (device, recorded, class, crc, wear, encrypt, wpq) = match kind {
+            NvmWrite::Store { bytes, class } => (bytes, bytes, class, 0, true, bytes, Some(Data)),
+            NvmWrite::Working { bytes } => (bytes, bytes, Cpu, 0, false, 0, None),
+            NvmWrite::Writeback { bytes } => (bytes, bytes, Checkpoint, bytes, true, bytes, Some(Data)),
+            NvmWrite::Migration { bytes } => (bytes, bytes, Migration, 0, true, bytes, None),
+            NvmWrite::RemapPayload => (64, 64, Migration, 0, true, 64, Some(Data)),
+            NvmWrite::Wal => (64, 64, Migration, 64, false, 0, Some(Data)),
+            NvmWrite::WalUnbuffered => (64, 64, Migration, 64, false, 0, None),
+            NvmWrite::Metadata { bytes } => (bytes.max(64), bytes, Checkpoint, bytes, false, 0, Some(Data)),
+            NvmWrite::SecurityTable { bytes } => (bytes.max(64), bytes, Checkpoint, 0, false, 0, Some(Data)),
+            NvmWrite::SecurityRoot => (64, 64, Checkpoint, 0, false, 64, Some(Data)),
+            NvmWrite::CommitRecord => (64, 1, Checkpoint, 64, false, 0, Some(CommitMarker)),
+        };
+        let device = u32::try_from(device).unwrap_or(u32::MAX);
+        let done = self.nvm.access(hw, AccessKind::Write, device, issue);
+        self.stats.record_nvm_write(recorded, class);
+        self.charge_crc(crc);
+        if wear {
+            // Wear: a write pushing its row across the stuck-at threshold
+            // leaves a permanently bad cell for the read path and scrubber.
+            if let Some(fault) = self.fault.as_mut() {
+                if fault.record_write(hw, device).is_some() {
+                    self.stats.media.record_fault(FaultKind::StuckAt);
+                }
+            }
+            // Encryption: every touched 64 B block is re-encrypted under a
+            // bumped write counter (counter reuse would break CTR-mode
+            // confidentiality), dirtying the table the next epoch boundary
+            // must persist.
+            if let Some(sec) = self.security.as_mut() {
+                let end = hw.raw() + u64::from(device);
+                let mut b = hw.raw() & !(BLOCK_BYTES - 1);
+                while b < end {
+                    sec.note_block_write(b);
+                    b += BLOCK_BYTES;
+                }
+            }
+        }
+        self.charge_crypto(encrypt, true);
+        if wpq == Some(CommitMarker) {
+            self.wpq_skip_next_fence = false;
+            // Audit on *held* entries, not retire times: a correct round
+            // fences (empties the buffer) immediately before the marker,
+            // so anything still held here means the fence was skipped.
+            let pending = self.pbuf.as_ref().map_or(0, |p| p.held_data());
+            if pending > 0 {
+                self.last_ordering_error =
+                    Some(Error::UnfencedCommit { addr: PhysAddr::new(hw.raw()), pending });
+            }
+        }
+        let resume = match (wpq, self.pbuf.as_mut()) {
+            // Timing-only entry: content plumbing lives in the buffer's own
+            // unit tests and sink.
+            (Some(entry), Some(p)) => {
+                let resume = p.push(hw, &[], issue, done, entry);
                 self.stats.wpq = *p.stats();
                 resume
             }
-            None => issue,
-        }
+            _ => issue,
+        };
+        (done, resume)
     }
 
-    /// Enqueues a commit-record persist, auditing §4.4 on the way: if data
-    /// entries are still pending at `issue`, the mandatory fence was
-    /// skipped and the violation is recorded for `take_ordering_error`.
-    fn wpq_push_marker(&mut self, hw: HwAddr, issue: Cycle, retire: Cycle) -> Cycle {
-        self.wpq_skip_next_fence = false;
-        // Audit on *held* entries, not retire times: a correct round
-        // fences (empties the buffer) immediately before the marker, so
-        // anything still held here means the fence was skipped.
-        let pending = self.pbuf.as_ref().map_or(0, |p| p.held_data());
-        if pending > 0 {
-            self.last_ordering_error =
-                Some(Error::UnfencedCommit { addr: PhysAddr::new(hw.raw()), pending });
-        }
-        self.wpq_push(hw, issue, retire, WpqKind::CommitMarker)
+    /// The plain NVM read primitive: one device read of `bytes` at `hw`,
+    /// counted in the read ledger. Callers layer integrity checks on top.
+    fn nvm_read(&mut self, hw: HwAddr, bytes: u32, now: Cycle) -> Cycle {
+        self.stats.nvm_reads += 1;
+        self.stats.nvm_read_bytes += u64::from(bytes);
+        self.nvm.access(hw, AccessKind::Read, bytes, now)
     }
 
     // ------------------------------------------------------------------
@@ -1017,14 +1147,9 @@ impl ThyNvm {
         let mut done = now;
         if let Some(region) = entry.clast_region {
             let src = self.space.checkpoint_page(region, page);
-            done = self.nvm.access(src, AccessKind::Read, PAGE_BYTES as u32, done);
-            self.stats.nvm_reads += 1;
-            self.stats.nvm_read_bytes += PAGE_BYTES;
+            done = self.nvm_read(src, PAGE_BYTES as u32, done);
             let dst = self.remapped(self.space.home(page.base_addr()));
-            done = self.nvm.access(dst, AccessKind::Write, PAGE_BYTES as u32, done);
-            self.stats.record_nvm_write(PAGE_BYTES, NvmWriteClass::Migration);
-            self.media_note_write(dst, PAGE_BYTES as u32);
-            self.security_note_write(dst, PAGE_BYTES as u32);
+            (done, _) = self.nvm_write(dst, NvmWrite::Migration { bytes: PAGE_BYTES }, done);
         }
         // With no checkpointed copy the Home Region still holds the page's
         // pre-promotion bytes — nothing durable ever left it — so no copy
@@ -1125,16 +1250,6 @@ impl ThyNvm {
         self.stats.media.crc_check_cycles += Cycle::from_ns(CRC_NS_PER_BLOCK * blocks);
     }
 
-    /// Feeds one NVM data write into the wear model. When the write pushes
-    /// its row across the stuck-at threshold a cell goes permanently bad;
-    /// the read path and the scrubber handle it from then on.
-    fn media_note_write(&mut self, hw: HwAddr, bytes: u32) {
-        let Some(fault) = self.fault.as_mut() else { return };
-        if fault.record_write(hw, bytes).is_some() {
-            self.stats.media.record_fault(FaultKind::StuckAt);
-        }
-    }
-
     /// Attributes counter-mode encryption + MAC work for `bytes` of data
     /// (`encrypt` distinguishes the write path from read-side decrypt +
     /// verify). Pure stats, like [`Self::charge_crc`]: the AES-CTR pads are
@@ -1157,22 +1272,6 @@ impl ThyNvm {
         } else {
             self.stats.security.blocks_verified += blocks;
         }
-    }
-
-    /// Feeds one NVM data write into the secure-mode model: every touched
-    /// 64 B block is re-encrypted under a bumped write counter (counter
-    /// reuse would break CTR-mode confidentiality), which dirties the
-    /// counter table the next epoch boundary must persist.
-    fn security_note_write(&mut self, hw: HwAddr, bytes: u32) {
-        let Some(sec) = self.security.as_mut() else { return };
-        let start = hw.raw() & !(BLOCK_BYTES - 1);
-        let end = hw.raw() + u64::from(bytes);
-        let mut b = start;
-        while b < end {
-            sec.note_block_write(b);
-            b += BLOCK_BYTES;
-        }
-        self.charge_crypto(u64::from(bytes), true);
     }
 
     /// Resolves the bad-block indirection: accesses to a remapped block go
@@ -1218,28 +1317,16 @@ impl ThyNvm {
         // WAL intent: the (bad block → spare slot) assignment.
         let wal = self.space.backup_wal(self.wal_seq);
         self.wal_seq += 1;
-        let mut t = self.nvm.access(wal, AccessKind::Write, 64, now);
-        self.stats.record_nvm_write(64, NvmWriteClass::Migration);
-        self.charge_crc(64);
-        self.wpq_push(wal, now, t, WpqKind::Data);
+        let (mut t, _) = self.nvm_write(wal, NvmWrite::Wal, now);
         let slot = self.next_spare_slot;
         self.next_spare_slot += 1;
         self.bad_blocks.insert(base, slot);
-        let dst = self.space.spare_block(slot);
-        let payload_at = self.nvm.access(dst, AccessKind::Write, BLOCK_BYTES as u32, t);
-        self.stats.record_nvm_write(BLOCK_BYTES, NvmWriteClass::Migration);
-        self.media_note_write(dst, BLOCK_BYTES as u32);
-        self.security_note_write(dst, BLOCK_BYTES as u32);
-        self.wpq_push(dst, t, payload_at, WpqKind::Data);
-        t = payload_at;
+        (t, _) = self.nvm_write(self.space.spare_block(slot), NvmWrite::RemapPayload, t);
         // §4.4: intent and payload must be durable before the seal that
         // commits them.
         t = self.wpq_fence(t);
         // CRC seal: the remap commits when this lands.
-        let sealed = self.nvm.access(wal, AccessKind::Write, 64, t);
-        self.stats.record_nvm_write(64, NvmWriteClass::Migration);
-        self.charge_crc(64);
-        self.wpq_push(wal, t, sealed, WpqKind::Data);
+        let (sealed, _) = self.nvm_write(wal, NvmWrite::Wal, t);
         self.stats.media.wal_seals += 1;
         self.stats.media.remaps += 1;
         Some(sealed)
@@ -1255,9 +1342,7 @@ impl ThyNvm {
     // lint: recovery-path
     fn nvm_data_read(&mut self, block: BlockIndex, hw: HwAddr, bytes: u32, now: Cycle) -> Cycle {
         let hw = self.remapped(hw);
-        self.stats.nvm_reads += 1;
-        self.stats.nvm_read_bytes += u64::from(bytes);
-        let mut done = self.nvm.access(hw, AccessKind::Read, bytes, now);
+        let done = self.nvm_read(hw, bytes, now);
         // Secure mode decrypts + MAC-verifies every NVM data read,
         // independent of the media-fault model.
         self.charge_crypto(u64::from(bytes), false);
@@ -1294,20 +1379,7 @@ impl ThyNvm {
             return done;
         }
         // The CRC rejected the data: retry with bounded backoff.
-        let mut healed = false;
-        for (_, backoff) in self.media_retry_policy().schedule() {
-            done += backoff;
-            done = self.nvm.access(hw, AccessKind::Read, bytes, done);
-            self.stats.nvm_reads += 1;
-            self.stats.nvm_read_bytes += u64::from(bytes);
-            self.stats.media.retries += 1;
-            self.stats.retry.media_attempts += 1;
-            self.charge_crc(u64::from(bytes));
-            if self.fault.as_mut().expect("invariant: is_none() checked above").read_fault(hw, bytes).is_none() {
-                healed = true;
-                break;
-            }
-        }
+        let (mut done, healed) = self.crc_retries(hw, bytes, done, false);
         if !healed {
             // Every retry failed: the location is permanently bad (a
             // stuck-at cell). Remap the block away from it; with the spare
@@ -1355,9 +1427,7 @@ impl ThyNvm {
                 continue; // already remapped away from the bad cell
             }
             // Verify the block (NVM read + CRC), then remap it to a spare.
-            self.stats.nvm_reads += 1;
-            self.stats.nvm_read_bytes += BLOCK_BYTES;
-            t = self.nvm.access(HwAddr::new(base), AccessKind::Read, BLOCK_BYTES as u32, t);
+            t = self.nvm_read(HwAddr::new(base), BLOCK_BYTES as u32, t);
             self.charge_crc(BLOCK_BYTES);
             if let Some(done) = self.remap_bad_block(base, t) {
                 t = done;
@@ -1392,14 +1462,8 @@ impl ThyNvm {
                 done
             }
             thynvm_types::WorkingRegion::Nvm => {
-                let done = self.nvm.access(
-                    thynvm_types::HwAddr::new(Self::NVM_WORKING_BASE + off),
-                    AccessKind::Write,
-                    bytes,
-                    now,
-                );
-                self.stats.record_nvm_write(u64::from(bytes), NvmWriteClass::Cpu);
-                done
+                let hw = HwAddr::new(Self::NVM_WORKING_BASE + off);
+                self.nvm_write(hw, NvmWrite::Working { bytes: u64::from(bytes) }, now).0
             }
         }
     }
@@ -1437,15 +1501,7 @@ impl ThyNvm {
                 done
             }
             thynvm_types::WorkingRegion::Nvm => {
-                let done = self.nvm.access(
-                    thynvm_types::HwAddr::new(Self::NVM_WORKING_BASE + off),
-                    AccessKind::Read,
-                    bytes,
-                    now,
-                );
-                self.stats.nvm_reads += 1;
-                self.stats.nvm_read_bytes += u64::from(bytes);
-                done
+                self.nvm_read(HwAddr::new(Self::NVM_WORKING_BASE + off), bytes, now)
             }
         }
     }
@@ -1677,14 +1733,7 @@ impl ThyNvm {
         }
         let slot = self.ptt.insert(page)?;
         // Assemble the page: bulk NVM read + DRAM fill.
-        self.nvm.access(
-            self.space.home(page.base_addr()),
-            AccessKind::Read,
-            PAGE_BYTES as u32,
-            now,
-        );
-        self.stats.nvm_reads += 1;
-        self.stats.nvm_read_bytes += PAGE_BYTES;
+        self.nvm_read(self.space.home(page.base_addr()), PAGE_BYTES as u32, now);
         let off = self.space.working_offset(self.space.working_page(slot));
         self.working_write(off, PAGE_BYTES as u32, now);
         self.stats.pages_promoted += 1;
@@ -1725,15 +1774,9 @@ impl ThyNvm {
             }
             self.stats.dram.poison_refetched += poisoned.len() as u64;
             if let Some(region) = entry.clast_region {
-                let src = self.space.checkpoint_page(region, page);
-                self.nvm.access(src, AccessKind::Read, PAGE_BYTES as u32, now);
-                self.stats.nvm_reads += 1;
-                self.stats.nvm_read_bytes += PAGE_BYTES;
+                self.nvm_read(self.space.checkpoint_page(region, page), PAGE_BYTES as u32, now);
                 let dst = self.remapped(self.space.home(page.base_addr()));
-                self.nvm.access(dst, AccessKind::Write, PAGE_BYTES as u32, now);
-                self.stats.record_nvm_write(PAGE_BYTES, NvmWriteClass::Migration);
-                self.media_note_write(dst, PAGE_BYTES as u32);
-                self.security_note_write(dst, PAGE_BYTES as u32);
+                self.nvm_write(dst, NvmWrite::Migration { bytes: PAGE_BYTES }, now);
             }
             // With no checkpointed copy the Home Region already holds the
             // page's bytes, so the demotion is pure bookkeeping.
@@ -1741,10 +1784,7 @@ impl ThyNvm {
             return;
         }
         let dst = self.remapped(self.space.home(page.base_addr()));
-        self.nvm.access(dst, AccessKind::Write, PAGE_BYTES as u32, now);
-        self.stats.record_nvm_write(PAGE_BYTES, NvmWriteClass::Migration);
-        self.media_note_write(dst, PAGE_BYTES as u32);
-        self.security_note_write(dst, PAGE_BYTES as u32);
+        self.nvm_write(dst, NvmWrite::Migration { bytes: PAGE_BYTES }, now);
         self.stats.pages_demoted += 1;
     }
 
@@ -1880,11 +1920,7 @@ impl ThyNvm {
             self.epoch_dirty_blocks += 1;
         }
         let hw = self.remapped(self.space.checkpoint_block(region, block));
-        let done = self.nvm.access(hw, AccessKind::Write, bytes, now);
-        self.stats.record_nvm_write(u64::from(bytes), class);
-        self.media_note_write(hw, bytes);
-        self.security_note_write(hw, bytes);
-        let resume = self.wpq_push(hw, now, done, WpqKind::Data);
+        let (done, resume) = self.nvm_write(hw, NvmWrite::Store { bytes: u64::from(bytes), class }, now);
         self.nvm_wq.push(done, now).max(resume)
     }
 
@@ -1899,15 +1935,9 @@ impl ThyNvm {
             if entry.clast_region == Some(Region::A) {
                 // C_last lives in Region A: copy it to the Home Region so
                 // the entry can be dropped.
-                let src = self.space.checkpoint_block(Region::A, block);
-                self.nvm.access(src, AccessKind::Read, BLOCK_BYTES as u32, now);
-                self.stats.nvm_reads += 1;
-                self.stats.nvm_read_bytes += BLOCK_BYTES;
+                self.nvm_read(self.space.checkpoint_block(Region::A, block), BLOCK_BYTES as u32, now);
                 let dst = self.remapped(self.space.home(block.base_addr()));
-                self.nvm.access(dst, AccessKind::Write, BLOCK_BYTES as u32, now);
-                self.stats.record_nvm_write(BLOCK_BYTES, NvmWriteClass::Migration);
-                self.media_note_write(dst, BLOCK_BYTES as u32);
-                self.security_note_write(dst, BLOCK_BYTES as u32);
+                self.nvm_write(dst, NvmWrite::Migration { bytes: BLOCK_BYTES }, now);
             }
             reclaimed += 1;
         }
@@ -2282,7 +2312,8 @@ impl ThyNvm {
 
         // Anything in flight is lost — including the rung captured by the
         // incomplete checkpoint's health record (its commit flag never set).
-        let rolled_back_incomplete = self.epoch.job.take().is_some();
+        let mut verdict =
+            Verdict { rolled_back_incomplete: self.epoch.job.take().is_some(), ..Verdict::default() };
         self.pending_health_rung = None;
         self.ckpting_log.clear();
         self.working_log.clear();
@@ -2339,18 +2370,11 @@ impl ThyNvm {
         let tampers_before = self.stats.security.tampers_detected;
         let wal_redos_before = self.stats.media.wal_redos;
         let nested_before = self.stats.nested_crashes;
-        let mut integrity_fallback = false;
-        let mut unrecoverable = false;
         let mut attempts = 0u64;
         let mut start = now;
         let (steps, restored, mut end) = loop {
             attempts += 1;
-            match self.recovery_attempt(
-                start,
-                rolled_back_incomplete,
-                &mut integrity_fallback,
-                &mut unrecoverable,
-            ) {
+            match self.recovery_attempt(start, &mut verdict) {
                 Ok(done) => break done,
                 Err(at) => start = start.max(at),
             }
@@ -2371,7 +2395,7 @@ impl ThyNvm {
             // — checkpoint retirement, fallback rotation, or the
             // override-persist below.
             let persisted = self.health_rung_last;
-            let rung = if unrecoverable
+            let rung = if verdict.unrecoverable
                 || self.stats.security.tampers_detected > tampers_before
             {
                 HealthRung::FailSafe
@@ -2401,22 +2425,12 @@ impl ThyNvm {
                 // WAL intent: the escalated rung about to be recorded.
                 let wal = self.space.backup_wal(self.wal_seq);
                 self.wal_seq += 1;
-                let intent_start = end;
-                end = self.nvm.access(wal, AccessKind::Write, 64, end);
-                self.stats.record_nvm_write(64, NvmWriteClass::Migration);
-                self.charge_crc(64);
-                self.wpq_push(wal, intent_start, end, WpqKind::Data);
-                let rung_start = end;
-                end = self.nvm.access(self.space.health_record(), AccessKind::Write, 64, end);
-                self.stats.record_nvm_write(64, NvmWriteClass::Checkpoint);
-                self.charge_crc(64);
-                self.wpq_push(self.space.health_record(), rung_start, end, WpqKind::Data);
+                (end, _) = self.nvm_write(wal, NvmWrite::Wal, end);
+                (end, _) = self.nvm_write(self.space.health_record(), NvmWrite::Metadata { bytes: 64 }, end);
                 // §4.4: intent and record must be durable before the seal.
                 end = self.wpq_fence(end);
                 // CRC seal: the override commits when this lands.
-                end = self.nvm.access(wal, AccessKind::Write, 64, end);
-                self.stats.record_nvm_write(64, NvmWriteClass::Migration);
-                self.charge_crc(64);
+                (end, _) = self.nvm_write(wal, NvmWrite::WalUnbuffered, end);
                 self.stats.media.wal_seals += 1;
                 self.stats.health.rung_persists += 1;
                 self.health_rung_last = rung;
@@ -2434,10 +2448,10 @@ impl ThyNvm {
 
         let report = RecoveryReport {
             recovered_checkpoints: self.epoch.completed,
-            rolled_back_incomplete,
+            rolled_back_incomplete: verdict.rolled_back_incomplete,
             restored_pages: restored,
-            integrity_fallback,
-            unrecoverable,
+            integrity_fallback: verdict.integrity_fallback,
+            unrecoverable: verdict.unrecoverable,
             recovery_cycles: end.saturating_sub(now),
             steps,
             nested_crashes: self.stats.nested_crashes - nested_before,
@@ -2453,22 +2467,9 @@ impl ThyNvm {
     /// `Err(at)` when a queued crash point at cycle `at` aborted it, with
     /// any unsealed recovery-side remaps rolled back (their torn WAL
     /// records mean the next attempt redoes them from scratch).
-    #[allow(clippy::type_complexity)]
-    fn recovery_attempt(
-        &mut self,
-        start: Cycle,
-        rolled_back_incomplete: bool,
-        integrity_fallback: &mut bool,
-        unrecoverable: &mut bool,
-    ) -> Result<(Vec<(RecoveryStep, Cycle)>, usize, Cycle), Cycle> {
+    fn recovery_attempt(&mut self, start: Cycle, verdict: &mut Verdict) -> RecoveryPass {
         let mut remaps = Vec::new();
-        let result = self.recovery_attempt_run(
-            start,
-            rolled_back_incomplete,
-            integrity_fallback,
-            unrecoverable,
-            &mut remaps,
-        );
+        let result = self.recovery_attempt_run(start, verdict, &mut remaps);
         if let Err(at) = result {
             // Bad-block remaps whose WAL seal had not landed when power
             // failed never took effect: drop the in-memory indirection and
@@ -2486,16 +2487,9 @@ impl ThyNvm {
 
     /// Checks whether completing a recovery step at `t_end` overruns the
     /// earliest queued crash point: if so, power failed mid-recovery. The
-    /// point is consumed, a nested crash is recorded against `step`, and
-    /// the attempt aborts.
-    fn recovery_interrupt(
-        &mut self,
-        step: RecoveryStep,
-        t_end: Cycle,
-        rolled_back_incomplete: bool,
-        integrity_fallback: bool,
-        unrecoverable: bool,
-    ) -> Result<(), Cycle> {
+    /// point is consumed, a nested crash is recorded against `step` with
+    /// the verdict reached so far, and the attempt aborts.
+    fn recovery_interrupt(&mut self, step: RecoveryStep, t_end: Cycle, verdict: Verdict) -> Result<(), Cycle> {
         let Some(&at) = self.crash_points.first() else {
             return Ok(());
         };
@@ -2503,25 +2497,39 @@ impl ThyNvm {
             return Ok(());
         }
         self.crash_points.remove(0);
-        let outcome = if unrecoverable {
-            thynvm_types::RecoveryOutcome::Unrecoverable
-        } else if integrity_fallback {
-            thynvm_types::RecoveryOutcome::CPenultIntegrityFallback
-        } else if rolled_back_incomplete {
-            thynvm_types::RecoveryOutcome::CPenult
-        } else {
-            thynvm_types::RecoveryOutcome::CLast
-        };
         let event = thynvm_types::CrashEvent {
             cycle: at,
             epoch: self.epoch.active_epoch,
             phase: CkptPhase::Execution,
             inflight_writebacks: 0,
-            outcome,
+            outcome: verdict.outcome(),
             recovery_step: Some(step),
         };
         self.stats.record_nested_crash(event);
         Err(at)
+    }
+
+    /// Bounded CRC re-reads of `hw` after a failed check: each retry waits
+    /// out its backoff, re-reads and re-verifies (transient flips clear on
+    /// retry). `recovery` attributes the attempts to the recovery-side
+    /// retry ledger instead of the load path's. Returns the cycle the last
+    /// read lands and whether one verified.
+    fn crc_retries(&mut self, hw: HwAddr, bytes: u32, mut done: Cycle, recovery: bool) -> (Cycle, bool) {
+        for (_, backoff) in self.media_retry_policy().schedule() {
+            done += backoff;
+            done = self.nvm_read(hw, bytes, done);
+            self.stats.media.retries += 1;
+            if recovery {
+                self.stats.retry.recovery_attempts += 1;
+            } else {
+                self.stats.retry.media_attempts += 1;
+            }
+            self.charge_crc(u64::from(bytes));
+            if self.fault.as_mut().is_none_or(|f| f.read_fault(hw, bytes).is_none()) {
+                return (done, true);
+            }
+        }
+        (done, false)
     }
 
     /// One fault-aware NVM read on the recovery path: resolves the
@@ -2536,28 +2544,17 @@ impl ThyNvm {
         remaps: &mut Vec<(u64, Cycle)>,
     ) -> Cycle {
         let hw = self.remapped(hw);
-        self.stats.nvm_reads += 1;
-        self.stats.nvm_read_bytes += u64::from(bytes);
-        let mut done = self.nvm.access(hw, AccessKind::Read, bytes, now);
+        let done = self.nvm_read(hw, bytes, now);
         self.charge_crc(u64::from(bytes));
         self.charge_crypto(u64::from(bytes), false);
-        if self.fault.is_none() || !self.cfg.media.integrity {
+        if !self.cfg.media.integrity
+            || self.fault.as_mut().is_none_or(|f| f.read_fault(hw, bytes).is_none())
+        {
             return done;
         }
-        if self.fault.as_mut().expect("invariant: is_none() checked above").read_fault(hw, bytes).is_none() {
+        let (mut done, healed) = self.crc_retries(hw, bytes, done, true);
+        if healed {
             return done;
-        }
-        for (_, backoff) in self.media_retry_policy().schedule() {
-            done += backoff;
-            done = self.nvm.access(hw, AccessKind::Read, bytes, done);
-            self.stats.nvm_reads += 1;
-            self.stats.nvm_read_bytes += u64::from(bytes);
-            self.stats.media.retries += 1;
-            self.stats.retry.recovery_attempts += 1;
-            self.charge_crc(u64::from(bytes));
-            if self.fault.as_mut().expect("invariant: is_none() checked above").read_fault(hw, bytes).is_none() {
-                return done;
-            }
         }
         let base = hw.raw() & !(BLOCK_BYTES - 1);
         if let Some(sealed) = self.remap_bad_block(base, done) {
@@ -2567,18 +2564,51 @@ impl ThyNvm {
         done
     }
 
+    /// Commits a recovery-side fallback through the write-ahead log: an
+    /// intent record and its CRC seal, written around the persist buffer.
+    /// If a queued crash point interrupts before the seal lands, nothing
+    /// took effect — the redo is counted and the next attempt re-detects
+    /// and redoes the fallback. Otherwise the seal is counted and the
+    /// caller applies the fallback from the returned cycle.
+    fn recovery_wal_commit(&mut self, t: Cycle, verdict: Verdict) -> Result<Cycle, Cycle> {
+        let wal = self.space.backup_wal(self.wal_seq);
+        self.wal_seq += 1;
+        let (w, _) = self.nvm_write(wal, NvmWrite::WalUnbuffered, t);
+        let (w, _) = self.nvm_write(wal, NvmWrite::WalUnbuffered, w); // seal
+        if let Err(at) = self.recovery_interrupt(RecoveryStep::IntegrityFallback, w, verdict) {
+            self.stats.media.wal_redos += 1;
+            return Err(at);
+        }
+        self.stats.media.wal_seals += 1;
+        Ok(w)
+    }
+
+    /// Rotates the retained `C_penult` image in as `C_last` after `C_last`
+    /// failed verification, with the MAC and health rung persisted
+    /// alongside it, and steps the completed-checkpoint count back.
+    // lint: recovery-path
+    fn fall_back_to_penult(&mut self) {
+        self.committed = self.committed_prev.clone();
+        if self.security.is_some() {
+            self.mac_last = self.mac_penult;
+        }
+        if self.health_mon.is_some() {
+            self.health_rung_last = self.health_rung_penult;
+        }
+        // Saturating: a CRC fallback may already have landed on zero
+        // completed checkpoints before a second (MAC) fallback.
+        self.epoch.completed = self.epoch.completed.saturating_sub(1);
+    }
+
     /// The body of one recovery attempt. Each step pays its modeled NVM
     /// latency, then checks the queued crash points before its effects are
     /// considered complete.
-    #[allow(clippy::type_complexity)]
     fn recovery_attempt_run(
         &mut self,
         start: Cycle,
-        rolled_back_incomplete: bool,
-        integrity_fallback: &mut bool,
-        unrecoverable: &mut bool,
+        verdict: &mut Verdict,
         remaps: &mut Vec<(u64, Cycle)>,
-    ) -> Result<(Vec<(RecoveryStep, Cycle)>, usize, Cycle), Cycle> {
+    ) -> RecoveryPass {
         // Power restore: volatile device state (row buffers, bank busy
         // times) starts fresh on every attempt.
         self.dram.power_cycle();
@@ -2587,13 +2617,7 @@ impl ThyNvm {
 
         // Step 1: read the checkpoint commit record.
         let mut t = self.recovery_read(self.space.backup(0), 64, start, remaps);
-        self.recovery_interrupt(
-            RecoveryStep::ReadCommitRecord,
-            t,
-            rolled_back_incomplete,
-            *integrity_fallback,
-            *unrecoverable,
-        )?;
+        self.recovery_interrupt(RecoveryStep::ReadCommitRecord, t, *verdict)?;
         steps.push((RecoveryStep::ReadCommitRecord, t));
 
         // Step 2: verify `C_last`'s integrity (commit-record checksum +
@@ -2610,73 +2634,24 @@ impl ThyNvm {
             // Peek — never consume — the injected latent faults: whether
             // `C_last` is corrupt is a property of the persisted bytes, so
             // a restarted attempt must reach the same verdict.
-            let torn = self.injected_torn_commit;
-            let flip = self.injected_clast_flip;
-            let meta = self.injected_meta_corrupt;
-            if torn {
-                self.stats.media.record_fault(FaultKind::TornWrite);
+            for fault in &self.injected_media {
+                self.stats.media.record_fault(fault.kind());
             }
-            if flip.is_some() {
-                self.stats.media.record_fault(FaultKind::BitFlip);
-            }
-            if meta {
-                self.stats.media.record_fault(FaultKind::Metadata);
-            }
-            let corrupt = torn || flip.is_some() || meta;
-            self.recovery_interrupt(
-                RecoveryStep::VerifyClast,
-                t,
-                rolled_back_incomplete,
-                *integrity_fallback,
-                *unrecoverable,
-            )?;
+            let corrupt = !self.injected_media.is_empty();
+            self.recovery_interrupt(RecoveryStep::VerifyClast, t, *verdict)?;
             steps.push((RecoveryStep::VerifyClast, t));
 
             // Step 3: fall back to `C_penult` — write-ahead + CRC-sealed,
             // so an interruption leaves a torn WAL record that the next
             // attempt detects and redoes, never a half-applied fallback.
             if corrupt {
-                let wal = self.space.backup_wal(self.wal_seq);
-                self.wal_seq += 1;
-                let mut w = self.nvm.access(wal, AccessKind::Write, 64, t);
-                self.stats.record_nvm_write(64, NvmWriteClass::Migration);
-                self.charge_crc(64);
-                w = self.nvm.access(wal, AccessKind::Write, 64, w); // seal
-                self.stats.record_nvm_write(64, NvmWriteClass::Migration);
-                self.charge_crc(64);
-                if let Err(at) = self.recovery_interrupt(
-                    RecoveryStep::IntegrityFallback,
-                    w,
-                    rolled_back_incomplete,
-                    *integrity_fallback,
-                    *unrecoverable,
-                ) {
-                    // The seal never landed: nothing took effect. The next
-                    // attempt re-detects the corruption and redoes this.
-                    self.stats.media.wal_redos += 1;
-                    return Err(at);
-                }
-                self.stats.media.wal_seals += 1;
+                t = self.recovery_wal_commit(t, *verdict)?;
                 // Sealed: the fallback commits, and the corrupt `C_last`
                 // image is no longer reachable — consume the faults.
-                self.injected_torn_commit = false;
-                self.injected_clast_flip = None;
-                self.injected_meta_corrupt = false;
-                self.committed = self.committed_prev.clone();
-                self.committed_prev = self.committed.clone();
-                // The fallback image's MAC becomes the reference `C_last`
-                // MAC, exactly as the images themselves rotated — and so
-                // does the health rung persisted alongside it.
-                if self.security.is_some() {
-                    self.mac_last = self.mac_penult;
-                }
-                if self.health_mon.is_some() {
-                    self.health_rung_last = self.health_rung_penult;
-                }
-                self.epoch.completed -= 1;
+                self.injected_media.clear();
+                self.fall_back_to_penult();
                 self.stats.media.integrity_fallbacks += 1;
-                *integrity_fallback = true;
-                t = w;
+                verdict.integrity_fallback = true;
                 steps.push((RecoveryStep::IntegrityFallback, t));
             }
         }
@@ -2690,7 +2665,7 @@ impl ThyNvm {
         // attacker with physical access can forge, so skipping the MAC
         // here would replay unauthenticated data (a forged penult behind a
         // torn commit record with exactly one completed checkpoint).
-        if self.security.is_some() && (self.epoch.completed > 0 || *integrity_fallback) {
+        if self.security.is_some() && (self.epoch.completed > 0 || verdict.integrity_fallback) {
             let table_bytes = (self.security.as_ref().expect("invariant: secure mode is on in this block").table_entries()
                 as u64
                 * META_ENTRY_BYTES)
@@ -2706,20 +2681,11 @@ impl ThyNvm {
             // An armed media fault with CRC protection off: nothing else
             // would detect it, but the MAC does — accidentally corrupt
             // bytes fail authentication just like forged ones.
-            let media_caught = !self.cfg.media.integrity
-                && (self.injected_torn_commit
-                    || self.injected_clast_flip.is_some()
-                    || self.injected_meta_corrupt);
+            let media_caught = !self.cfg.media.integrity && !self.injected_media.is_empty();
             let mac_ok = !media_caught
                 && self.committed.fingerprint_with_basis(self.mac_key) == self.mac_last;
             let table_ok = self.security.as_ref().expect("invariant: secure mode is on in this block").table_authentic();
-            self.recovery_interrupt(
-                RecoveryStep::VerifyMacs,
-                t,
-                rolled_back_incomplete,
-                *integrity_fallback,
-                *unrecoverable,
-            )?;
+            self.recovery_interrupt(RecoveryStep::VerifyMacs, t, *verdict)?;
             steps.push((RecoveryStep::VerifyMacs, t));
 
             if !mac_ok || !table_ok {
@@ -2731,26 +2697,7 @@ impl ThyNvm {
                 // act, seal — so an interruption leaves a torn record the
                 // next attempt detects and redoes, never a half-applied
                 // fallback or reset.
-                let wal = self.space.backup_wal(self.wal_seq);
-                self.wal_seq += 1;
-                let mut w = self.nvm.access(wal, AccessKind::Write, 64, t);
-                self.stats.record_nvm_write(64, NvmWriteClass::Migration);
-                self.charge_crc(64);
-                w = self.nvm.access(wal, AccessKind::Write, 64, w); // seal
-                self.stats.record_nvm_write(64, NvmWriteClass::Migration);
-                self.charge_crc(64);
-                if let Err(at) = self.recovery_interrupt(
-                    RecoveryStep::IntegrityFallback,
-                    w,
-                    rolled_back_incomplete,
-                    *integrity_fallback,
-                    *unrecoverable,
-                ) {
-                    self.stats.media.wal_redos += 1;
-                    return Err(at);
-                }
-                self.stats.media.wal_seals += 1;
-                t = w;
+                t = self.recovery_wal_commit(t, *verdict)?;
                 // Sealed: count the detection exactly once — a restarted
                 // attempt after the seal finds healed state and detects
                 // nothing, so these ledgers never double-count.
@@ -2767,27 +2714,16 @@ impl ThyNvm {
                 if media_caught {
                     // The MAC caught what the absent CRCs could not; the
                     // fallback makes the faulted image unreachable.
-                    self.injected_torn_commit = false;
-                    self.injected_clast_flip = None;
-                    self.injected_meta_corrupt = false;
+                    self.injected_media.clear();
                 }
                 if penult_ok {
                     // Degrade to `C_penult` exactly as CRC failures do,
                     // re-deriving and re-sealing the counter table from
                     // the surviving authenticated image.
-                    self.committed = self.committed_prev.clone();
-                    self.committed_prev = self.committed.clone();
-                    self.mac_last = self.mac_penult;
-                    if self.health_mon.is_some() {
-                        self.health_rung_last = self.health_rung_penult;
-                    }
-                    // Saturating: a CRC fallback may already have landed on
-                    // zero completed checkpoints before this second fallback.
-                    self.epoch.completed = self.epoch.completed.saturating_sub(1);
+                    self.fall_back_to_penult();
                     self.security.as_mut().expect("invariant: secure mode is on in this block").heal_table();
                     self.stats.security.verify_fallbacks += 1;
-                    *integrity_fallback = true;
-                    steps.push((RecoveryStep::IntegrityFallback, t));
+                    verdict.integrity_fallback = true;
                 } else {
                     // Both images fail authentication: replaying either
                     // would hand unauthenticated (possibly attacker-
@@ -2807,9 +2743,9 @@ impl ThyNvm {
                     self.last_security_error = Some(Error::IntegrityUnrecoverable {
                         epoch: self.epoch.active_epoch,
                     });
-                    *unrecoverable = true;
-                    steps.push((RecoveryStep::IntegrityFallback, t));
+                    verdict.unrecoverable = true;
                 }
+                steps.push((RecoveryStep::IntegrityFallback, t));
             }
         }
 
@@ -2821,7 +2757,7 @@ impl ThyNvm {
             .iter_mut()
             .filter_map(|(b, e)| {
                 e.wactive = None;
-                if rolled_back_incomplete {
+                if verdict.rolled_back_incomplete {
                     e.pending = None;
                 }
                 if e.clast_region.is_none() && e.pending.is_none() {
@@ -2842,13 +2778,7 @@ impl ThyNvm {
         let meta_len = u32::try_from(meta_bytes.max(64).min(u64::from(u32::MAX)))
             .expect("invariant: value clamped to u32::MAX on the previous line");
         t = self.recovery_read(self.space.backup(0), meta_len, t, remaps);
-        self.recovery_interrupt(
-            RecoveryStep::ReplayMetadata,
-            t,
-            rolled_back_incomplete,
-            *integrity_fallback,
-            *unrecoverable,
-        )?;
+        self.recovery_interrupt(RecoveryStep::ReplayMetadata, t, *verdict)?;
         steps.push((RecoveryStep::ReplayMetadata, t));
 
         // Step 5 (§4.5 step 2): re-arm the DRAM working set — restore
@@ -2873,13 +2803,7 @@ impl ThyNvm {
             t = self.working_write(off, PAGE_BYTES as u32, t);
             restored += 1;
         }
-        self.recovery_interrupt(
-            RecoveryStep::RearmWorkingSet,
-            t,
-            rolled_back_incomplete,
-            *integrity_fallback,
-            *unrecoverable,
-        )?;
+        self.recovery_interrupt(RecoveryStep::RearmWorkingSet, t, *verdict)?;
         steps.push((RecoveryStep::RearmWorkingSet, t));
 
         Ok((steps, restored, t))
@@ -3111,12 +3035,8 @@ impl ThyNvm {
             let entry = self.btt.get(block).expect("iterated above");
             let region = entry.clast_region.map_or(Region::A, Region::other);
             let dst = self.remapped(self.space.checkpoint_block(region, block));
-            let write_done = self.nvm.access(dst, AccessKind::Write, BLOCK_BYTES as u32, read_done);
-            self.stats.record_nvm_write(BLOCK_BYTES, NvmWriteClass::Checkpoint);
-            self.media_note_write(dst, BLOCK_BYTES as u32);
-            self.security_note_write(dst, BLOCK_BYTES as u32);
-            self.charge_crc(BLOCK_BYTES); // per-64 B data CRC generation
-            let resume = self.wpq_push(dst, read_done, write_done, WpqKind::Data);
+            let (write_done, resume) =
+                self.nvm_write(dst, NvmWrite::Writeback { bytes: BLOCK_BYTES }, read_done);
             writeback_done.push(write_done);
             phase1_done = phase1_done.max(write_done).max(resume);
             let entry = self.btt.get_mut(block).expect("present");
@@ -3140,15 +3060,8 @@ impl ThyNvm {
         // §4.4: checkpoint data must be durable before the metadata that
         // references it.
         let meta_start = self.wpq_fence(phase1_done.max(resume_after_flush));
-        let btt_done = self.nvm.access(
-            self.space.backup(8192),
-            AccessKind::Write,
-            u32::try_from(btt_bytes.max(64)).expect("bounded"),
-            meta_start,
-        );
-        self.stats.record_nvm_write(btt_bytes, NvmWriteClass::Checkpoint);
-        self.charge_crc(btt_bytes);
-        self.wpq_push(self.space.backup(8192), meta_start, btt_done, WpqKind::Data);
+        let (btt_done, _) =
+            self.nvm_write(self.space.backup(8192), NvmWrite::Metadata { bytes: btt_bytes }, meta_start);
 
         // Capture block versions: working copies in NVM become pending
         // checkpoints (no data movement, §3.2).
@@ -3182,12 +3095,8 @@ impl ThyNvm {
             entry.dirty = false;
             entry.frozen = true;
             let dst = self.remapped(self.space.checkpoint_page(target, page));
-            let write_done = self.nvm.access(dst, AccessKind::Write, PAGE_BYTES as u32, read_done);
-            self.stats.record_nvm_write(PAGE_BYTES, NvmWriteClass::Checkpoint);
-            self.media_note_write(dst, PAGE_BYTES as u32);
-            self.security_note_write(dst, PAGE_BYTES as u32);
-            self.charge_crc(PAGE_BYTES); // per-64 B data CRCs for the page
-            let resume = self.wpq_push(dst, read_done, write_done, WpqKind::Data);
+            let (write_done, resume) =
+                self.nvm_write(dst, NvmWrite::Writeback { bytes: PAGE_BYTES }, read_done);
             writeback_done.push(write_done);
             phase3_done = phase3_done.max(write_done).max(resume);
             self.pending_pages.insert(page, PendingPage { target });
@@ -3197,15 +3106,8 @@ impl ThyNvm {
         // (4) Checkpoint the PTT, flush the NVM write queue, set the
         // completion flag.
         let ptt_bytes = (self.ptt.len().max(1) as u64) * META_ENTRY_BYTES + meta_crc;
-        let mut bg = self.nvm.access(
-            self.space.backup(16384),
-            AccessKind::Write,
-            u32::try_from(ptt_bytes.max(64)).expect("bounded"),
-            phase3_done,
-        );
-        self.stats.record_nvm_write(ptt_bytes, NvmWriteClass::Checkpoint);
-        self.charge_crc(ptt_bytes);
-        self.wpq_push(self.space.backup(16384), phase3_done, bg, WpqKind::Data);
+        let (mut bg, _) =
+            self.nvm_write(self.space.backup(16384), NvmWrite::Metadata { bytes: ptt_bytes }, phase3_done);
         bg = bg.max(self.nvm_wq.drain_time(bg));
 
         // (4b) Secure mode: persist the dirty encryption counters, the
@@ -3219,29 +3121,18 @@ impl ThyNvm {
             let receipt = self.security.as_mut().expect("invariant: secure mode is on in this block").persist();
             if receipt.counter_entries > 0 {
                 let ctr_bytes = receipt.counter_entries as u64 * META_ENTRY_BYTES;
-                let ctr_start = bg;
-                bg = self.nvm.access(
+                (bg, _) = self.nvm_write(
                     self.space.security_counters(0),
-                    AccessKind::Write,
-                    u32::try_from(ctr_bytes.max(64).min(u64::from(u32::MAX))).expect("bounded"),
+                    NvmWrite::SecurityTable { bytes: ctr_bytes },
                     bg,
                 );
-                self.stats.record_nvm_write(ctr_bytes, NvmWriteClass::Checkpoint);
                 self.stats.security.counter_persists += 1;
                 self.stats.security.counter_bytes += ctr_bytes;
-                self.wpq_push(self.space.security_counters(0), ctr_start, bg, WpqKind::Data);
                 let tree_bytes = receipt.tree_nodes * META_ENTRY_BYTES;
-                let tree_start = bg;
-                bg = self.nvm.access(
-                    self.space.security_tree(0),
-                    AccessKind::Write,
-                    u32::try_from(tree_bytes.max(64).min(u64::from(u32::MAX))).expect("bounded"),
-                    bg,
-                );
-                self.stats.record_nvm_write(tree_bytes, NvmWriteClass::Checkpoint);
+                (bg, _) =
+                    self.nvm_write(self.space.security_tree(0), NvmWrite::SecurityTable { bytes: tree_bytes }, bg);
                 self.stats.security.tree_node_persists += receipt.tree_nodes;
                 self.stats.security.tree_bytes += tree_bytes;
-                self.wpq_push(self.space.security_tree(0), tree_start, bg, WpqKind::Data);
             }
             // §4.4: counter table and tree nodes must be durable before
             // the root that authenticates them.
@@ -3249,12 +3140,8 @@ impl ThyNvm {
             // The 64 B root + MAC record persists every round: it binds
             // the table generation, which is what makes a rolled-back
             // table (counter-replay attack) detectable.
-            let root_start = bg;
-            bg = self.nvm.access(self.space.security_root(), AccessKind::Write, 64, bg);
-            self.stats.record_nvm_write(64, NvmWriteClass::Checkpoint);
+            (bg, _) = self.nvm_write(self.space.security_root(), NvmWrite::SecurityRoot, bg);
             self.stats.security.root_persists += 1;
-            self.charge_crypto(64, true);
-            self.wpq_push(self.space.security_root(), root_start, bg, WpqKind::Data);
         }
 
         // (4c) Health ladder: persist the current rung as a 64 B record
@@ -3262,11 +3149,7 @@ impl ThyNvm {
         // crash before the commit flag leaves the previous epoch's sealed
         // rung in effect, exactly like every other piece of metadata.
         if let Some(rung) = self.health_mon.as_ref().map(HealthMonitor::rung) {
-            let rung_start = bg;
-            bg = self.nvm.access(self.space.health_record(), AccessKind::Write, 64, bg);
-            self.stats.record_nvm_write(64, NvmWriteClass::Checkpoint);
-            self.charge_crc(64);
-            self.wpq_push(self.space.health_record(), rung_start, bg, WpqKind::Data);
+            (bg, _) = self.nvm_write(self.space.health_record(), NvmWrite::Metadata { bytes: 64 }, bg);
             self.stats.health.rung_persists += 1;
             self.pending_health_rung = Some(rung);
         }
@@ -3275,10 +3158,7 @@ impl ThyNvm {
         // security and health records — must be durable before it.
         bg = self.wpq_fence(bg);
         let commit_start = bg;
-        bg = self.nvm.access(self.space.backup(0), AccessKind::Write, 64, bg);
-        self.stats.record_nvm_write(1, NvmWriteClass::Checkpoint);
-        self.charge_crc(64); // checksummed commit record
-        self.wpq_push_marker(self.space.backup(0), commit_start, bg);
+        (bg, _) = self.nvm_write(self.space.backup(0), NvmWrite::CommitRecord, bg);
 
         // Functional capture: the ending epoch's writes are now "being
         // checkpointed"; they commit when the job retires. Intermediate
@@ -5475,5 +5355,134 @@ mod tests {
         assert!(flush.marker_dropped && !flush.commit_salvaged(), "got {flush:?}");
         assert!(report.rolled_back_incomplete);
         assert_wpq_conservation(&sys);
+    }
+
+    // ---- the NVM write-kind table ----
+
+    /// Counters one NVM write may move: recorded bytes per traffic class,
+    /// device bytes, CRC blocks, encrypted blocks, wear-model row writes,
+    /// dirty encryption counters, persist-buffer entries and held data.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct WriteLedger {
+        cpu: u64,
+        ckpt: u64,
+        migration: u64,
+        device: u64,
+        crc_blocks: u64,
+        encrypted: u64,
+        wear: u64,
+        counters: u64,
+        enqueued: u64,
+        held: u64,
+    }
+
+    impl WriteLedger {
+        fn of(sys: &ThyNvm) -> Self {
+            let s = sys.stats();
+            Self {
+                cpu: s.nvm_write_bytes_cpu,
+                ckpt: s.nvm_write_bytes_ckpt,
+                migration: s.nvm_write_bytes_migration,
+                device: sys.nvm_device().stats().write_bytes,
+                crc_blocks: s.media.crc_checked_blocks,
+                encrypted: s.security.blocks_encrypted,
+                wear: sys.fault_model().map_or(0, |f| f.wear().total_writes),
+                counters: sys.security_model().map_or(0, |m| m.dirty_count() as u64),
+                enqueued: s.wpq.enqueued,
+                held: sys.persist_buffer().map_or(0, |p| p.held_data() as u64),
+            }
+        }
+
+        fn since(self, before: Self) -> Self {
+            Self {
+                cpu: self.cpu - before.cpu,
+                ckpt: self.ckpt - before.ckpt,
+                migration: self.migration - before.migration,
+                device: self.device - before.device,
+                crc_blocks: self.crc_blocks - before.crc_blocks,
+                encrypted: self.encrypted - before.encrypted,
+                wear: self.wear - before.wear,
+                counters: self.counters - before.counters,
+                enqueued: self.enqueued - before.enqueued,
+                held: self.held - before.held,
+            }
+        }
+    }
+
+    #[test]
+    fn write_kind_table_moves_exactly_its_counters() {
+        // Every fault domain on, every fault rate zero. A stuck-at
+        // threshold no write reaches turns on wear counting only.
+        let mut cfg = SystemConfig::hardened();
+        cfg.wpq = thynvm_types::PersistBufferConfig::armed();
+        cfg.media.stuck_at_threshold = u64::MAX;
+        let mut sys = ThyNvm::new(cfg);
+        let zero = WriteLedger {
+            cpu: 0,
+            ckpt: 0,
+            migration: 0,
+            device: 0,
+            crc_blocks: 0,
+            encrypted: 0,
+            wear: 0,
+            counters: 0,
+            enqueued: 0,
+            held: 0,
+        };
+        #[rustfmt::skip]
+        let table = [
+            // Data: wear + encryption on every touched block; only
+            // checkpoint writebacks carry CRCs; migrations bypass the buffer.
+            (NvmWrite::Store { bytes: 64, class: NvmWriteClass::Cpu },
+             WriteLedger { cpu: 64, device: 64, encrypted: 1, wear: 1, counters: 1, enqueued: 1, held: 1, ..zero }),
+            (NvmWrite::Store { bytes: 64, class: NvmWriteClass::Checkpoint },
+             WriteLedger { ckpt: 64, device: 64, encrypted: 1, wear: 1, counters: 1, enqueued: 1, held: 1, ..zero }),
+            (NvmWrite::Working { bytes: 64 },
+             WriteLedger { cpu: 64, device: 64, ..zero }),
+            (NvmWrite::Writeback { bytes: PAGE_BYTES },
+             WriteLedger { ckpt: 4096, device: 4096, crc_blocks: 64, encrypted: 64, wear: 1, counters: 64, enqueued: 1, held: 1, ..zero }),
+            (NvmWrite::Migration { bytes: PAGE_BYTES },
+             WriteLedger { migration: 4096, device: 4096, encrypted: 64, wear: 1, counters: 64, ..zero }),
+            (NvmWrite::RemapPayload,
+             WriteLedger { migration: 64, device: 64, encrypted: 1, wear: 1, counters: 1, enqueued: 1, held: 1, ..zero }),
+            // WAL records: CRC-sealed, no wear or encryption.
+            (NvmWrite::Wal,
+             WriteLedger { migration: 64, device: 64, crc_blocks: 1, enqueued: 1, held: 1, ..zero }),
+            (NvmWrite::WalUnbuffered,
+             WriteLedger { migration: 64, device: 64, crc_blocks: 1, ..zero }),
+            // Metadata: at least one 64 B burst on the device; CRC over the
+            // recorded bytes for BTT/PTT/health, none for security tables.
+            (NvmWrite::Metadata { bytes: 8 },
+             WriteLedger { ckpt: 8, device: 64, crc_blocks: 1, enqueued: 1, held: 1, ..zero }),
+            (NvmWrite::Metadata { bytes: 200 },
+             WriteLedger { ckpt: 200, device: 200, crc_blocks: 4, enqueued: 1, held: 1, ..zero }),
+            (NvmWrite::SecurityTable { bytes: 200 },
+             WriteLedger { ckpt: 200, device: 200, enqueued: 1, held: 1, ..zero }),
+            (NvmWrite::SecurityRoot,
+             WriteLedger { ckpt: 64, device: 64, encrypted: 1, enqueued: 1, held: 1, ..zero }),
+            // The commit record: 64 B on the device, 1 B in the ledger, a
+            // checksummed commit marker that holds no data entry.
+            (NvmWrite::CommitRecord,
+             WriteLedger { ckpt: 1, device: 64, crc_blocks: 1, enqueued: 1, ..zero }),
+        ];
+        let mut t = Cycle::ZERO;
+        for (i, (kind, want)) in table.into_iter().enumerate() {
+            // One fresh row per write, and a drained buffer so the commit
+            // marker's ordering audit sees a correctly fenced persist.
+            t = sys.wpq_fence(t);
+            let hw = HwAddr::new((i as u64 + 1) << 20);
+            let before = WriteLedger::of(&sys);
+            let (done, resume) = sys.nvm_write(hw, kind, t);
+            assert_eq!(WriteLedger::of(&sys).since(before), want, "{kind:?}");
+            assert!(done > t && resume >= t, "{kind:?}");
+            t = done;
+        }
+        assert!(sys.take_ordering_error().is_none(), "every marker was fenced");
+
+        // A commit record pushed over held data is the §4.4 violation the
+        // marker audits.
+        let (t, _) = sys.nvm_write(HwAddr::new(1 << 30), NvmWrite::Wal, t);
+        let _ = sys.nvm_write(HwAddr::new(1 << 31), NvmWrite::CommitRecord, t);
+        assert!(matches!(sys.take_ordering_error(), Some(Error::UnfencedCommit { pending: 1, .. })));
     }
 }

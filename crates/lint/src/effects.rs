@@ -4,10 +4,12 @@
 //! regions it can write, directly or through calls. Effects are seeded from
 //! two token shapes and propagated over the [`CallGraph`] to a fixpoint:
 //!
-//! * **Device writes** — `nvm.access(<region>, AccessKind::Write, ..)`
-//!   where `<region>` is an `AddressSpace` region constructor, either
-//!   inline (`self.space.backup(8192)`) or through a local binding
-//!   (`let wal = self.space.backup_wal(seq); .. nvm.access(wal, ..)`).
+//! * **Device writes** — `nvm.access(<region>, AccessKind::Write, ..)`,
+//!   or a call to the controller's write primitive
+//!   `.nvm_write(<region>, <kind>, ..)`, where `<region>` is an
+//!   `AddressSpace` region constructor, either inline
+//!   (`self.space.backup(8192)`) or through a local binding
+//!   (`let wal = self.space.backup_wal(seq); .. nvm_write(wal, ..)`).
 //!   `dram.access(.., Write, ..)` is a working-region (volatile) write.
 //!   Reads carry no effect; addresses the pass cannot resolve to a tracked
 //!   region (checkpoint data regions, home region, raw `HwAddr::new`
@@ -68,6 +70,11 @@ pub fn region_name(bit: u16) -> &'static str {
     LABELS.iter().find(|(b, _)| *b == bit).map_or("?", |(_, n)| n)
 }
 
+/// The controller's NVM write primitive (`ThyNvm::nvm_write`): a call whose
+/// first argument resolves to a region seeds a device write exactly like
+/// `nvm.access(<region>, AccessKind::Write, ..)`.
+const WRITE_PRIMITIVE: &str = "nvm_write";
+
 /// `AddressSpace` region constructors → effect bit. `backup(0)` is the
 /// commit record — the 64 B at offset zero of the backup region whose
 /// checksummed write is the checkpoint's atomic seal; any other `backup(..)`
@@ -92,7 +99,7 @@ fn constructor_region(name: &str) -> Option<u16> {
 pub struct WriteSite {
     /// Effect bit of the written region.
     pub region: u16,
-    /// Token index of the `access` ident.
+    /// Token index of the `access` (or write-primitive) ident.
     pub tok: usize,
     /// 1-based source line.
     pub line: u32,
@@ -245,20 +252,22 @@ fn seed_fn(f: &FileIndex, item: usize) -> FnFacts {
             facts.stores.push((i, toks[i].line));
         }
 
-        // Device access: `nvm.access(..)` / `dram.access(..)`.
-        if name == "access"
-            && crate::graph::is_device_receiver(f, i)
+        // Device access: `nvm.access(..)` / `dram.access(..)`, or a call to
+        // the controller's write primitive `.nvm_write(<region>, ..)`,
+        // which is always a write.
+        let primitive = name == WRITE_PRIMITIVE && i >= 1 && toks[i - 1].is_punct(".");
+        if (primitive || (name == "access" && crate::graph::is_device_receiver(f, i)))
             && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
         {
             let open = i + 1;
             let close = match_bracket(toks, open);
-            let is_write =
-                toks[open..=close.min(toks.len() - 1)].iter().any(|t| t.kind.is_ident("Write"));
+            let is_write = primitive
+                || toks[open..=close.min(toks.len() - 1)].iter().any(|t| t.kind.is_ident("Write"));
             if !is_write {
                 continue;
             }
             let receiver = toks[i - 2].kind.ident().unwrap_or_default();
-            let region = if receiver == "dram" {
+            let region = if !primitive && receiver == "dram" {
                 Some(WORKING)
             } else {
                 first_arg_region(toks, open, close, &bindings)

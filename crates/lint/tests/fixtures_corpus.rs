@@ -206,6 +206,20 @@ fn l10_mutation_moving_the_fence_after_the_seal_is_caught() {
 }
 
 #[test]
+fn write_primitive_calls_seed_l8_and_l10() {
+    let diags =
+        lint_one("crates/core/src/primitive.rs", include_str!("fixtures/write_primitive.rs"));
+    // Only the region-constructor argument of `nvm_write(..)` reveals what
+    // these bodies write: the unfenced commit record (line 8, L10) and the
+    // unbracketed PTT image on the `recover_tables` path (line 12, L8). The
+    // fenced and the WAL-bracketed near-misses are silent.
+    assert_eq!(keyed(&diags), vec![("L10", 8), ("L8", 12)], "{diags:?}");
+    assert!(diags[0].msg.contains("commit_record"), "{}", diags[0].msg);
+    assert!(diags[0].msg.contains("commit_without_fence"), "{}", diags[0].msg);
+    assert!(diags[1].msg.contains("`backup` write in `recover_tables`"), "{}", diags[1].msg);
+}
+
+#[test]
 fn clean_fixture_produces_no_diagnostics() {
     let diags = lint_one("crates/core/src/clean.rs", include_str!("fixtures/clean.rs"));
     assert!(diags.is_empty(), "{diags:?}");

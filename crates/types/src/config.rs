@@ -15,8 +15,6 @@
 //! | Epoch      | ≤ 10 ms |
 //! | Thresholds | 22 stores/epoch → page writeback; ≤16 → block remapping |
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{BLOCK_BYTES, PAGE_BYTES};
 use crate::cycle::Cycle;
 
@@ -28,7 +26,7 @@ pub const CPU_FREQ_GHZ: u64 = 3;
 /// NVM timings follow the PCM-style model of the paper's sources: a row-buffer
 /// hit costs the same as DRAM, a clean row miss pays the slow NVM array read,
 /// and a dirty row miss additionally pays the expensive NVM array write-back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingConfig {
     /// DRAM row-buffer hit latency (ns).
     pub dram_row_hit_ns: u64,
@@ -94,7 +92,7 @@ impl TimingConfig {
 /// The paper models DDR3-interfaced DRAM and NVM; we expose enough geometry
 /// for bank-level parallelism and row-buffer locality to matter, which is
 /// what the dual-scheme design exploits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceGeometry {
     /// Independent channels.
     pub channels: u32,
@@ -122,7 +120,7 @@ impl DeviceGeometry {
 }
 
 /// Cache hierarchy configuration (Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// L1 data cache capacity in bytes (32 KB).
     pub l1_bytes: u64,
@@ -166,7 +164,7 @@ impl Default for CacheConfig {
 /// to reproduce the §1/§2.3 tradeoff claims (Table 1): uniform page
 /// granularity suffers long stalls, uniform block granularity suffers large
 /// metadata overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CkptMode {
     /// Dual-scheme checkpointing (§3): block remapping + page writeback,
     /// adapted by write locality.
@@ -184,7 +182,7 @@ pub enum CkptMode {
 /// DRAM… Other implementations of ThyNVM can distribute this region between
 /// DRAM and NVM or place it completely in NVM. We leave the exploration of
 /// such choices to future work." — this knob performs that exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WorkingRegion {
     /// Working data in DRAM (the paper's evaluated configuration).
     #[default]
@@ -196,7 +194,7 @@ pub enum WorkingRegion {
 
 /// ThyNVM-specific configuration: translation-table sizes, DRAM capacity,
 /// epoch length and the scheme-switching thresholds of §4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThyNvmConfig {
     /// Number of Block Translation Table entries (2048 in the paper).
     pub btt_entries: usize,
@@ -279,7 +277,7 @@ impl ThyNvmConfig {
 /// The model is fully deterministic: every fault decision is a pure
 /// function of `seed` and the sequence of device operations, so any run —
 /// including a crash replay — can be reproduced exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediaFaultConfig {
     /// Master switch for the fault model. When `false` no faults are ever
     /// injected and no wear is tracked by the model.
@@ -364,7 +362,7 @@ impl MediaFaultConfig {
 /// (DRAM loses it with power) but must never propagate to NVM: the
 /// controller quarantines poisoned dirty pages at checkpoint time and
 /// re-fetches poisoned clean blocks from their checkpoint copies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramFaultConfig {
     /// Master switch for the DRAM ECC model. When `false` no DRAM faults
     /// are ever injected and the controller adds zero overhead.
@@ -430,7 +428,7 @@ impl DramFaultConfig {
 /// mismatch on both images surfaces
 /// [`crate::Error::IntegrityUnrecoverable`] rather than ever replaying
 /// unauthenticated data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SecurityConfig {
     /// Master switch for the security model. When `false` no crypto costs
     /// are charged, no security metadata is persisted, and recovery skips
@@ -495,7 +493,7 @@ impl SecurityConfig {
 /// may skip rungs; promotion climbs one rung after `promote_clean_epochs`
 /// consecutive signal-free epochs (hysteresis), and `FailSafe` never
 /// promotes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthConfig {
     /// Master switch for the health monitor. When `false` no signals are
     /// evaluated, no health record is persisted, and the controller's
@@ -582,7 +580,7 @@ impl HealthConfig {
 /// at every §4.4 ordering point; a crash drops a seeded, retire-consistent
 /// suffix of each bank's pending entries, so recovery faces genuinely
 /// torn, reordered persist state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PersistBufferConfig {
     /// Master switch for the persist-buffer model. When `false` writes are
     /// durable at issue and the simulated image and cycle counts are
@@ -637,7 +635,7 @@ impl PersistBufferConfig {
 /// assert_eq!(cfg.thynvm.btt_entries, 2048);
 /// assert_eq!(cfg.timing.nvm_dirty_miss_ns, 368);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SystemConfig {
     /// Device timing parameters.
     pub timing: TimingConfig,
@@ -1279,8 +1277,6 @@ mod tests {
 
     #[test]
     fn config_is_cloneable_and_comparable() {
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<SystemConfig>();
         let cfg = SystemConfig::paper();
         assert_eq!(cfg, cfg.clone());
     }

@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::CPU_FREQ_GHZ;
 
 /// A point in (or duration of) simulated time, measured in CPU cycles.
@@ -25,9 +23,7 @@ use crate::config::CPU_FREQ_GHZ;
 /// assert_eq!(t.raw(), 120);                 // 40 ns @ 3 GHz
 /// assert_eq!(t.as_ns(), 40.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(u64);
 
 impl Cycle {

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of buckets: covers the full `u64` range.
 const BUCKETS: usize = 64;
 
@@ -26,7 +24,7 @@ const BUCKETS: usize = 64;
 /// assert_eq!(h.max(), 1024);
 /// assert!(h.mean() > 600.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,

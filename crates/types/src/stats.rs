@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cycle::Cycle;
 
 /// Classification of a write reaching NVM, for the Figure 8 breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NvmWriteClass {
     /// Direct write from the CPU (last-level-cache writeback or remapped
     /// store serviced in NVM).
@@ -38,7 +36,7 @@ impl fmt::Display for NvmWriteClass {
 
 /// Phase of the Figure 6(b) checkpointing sequence a cycle falls in, used
 /// to classify where an injected crash landed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CkptPhase {
     /// No checkpoint job in flight — the crash hit the execution phase.
     Execution,
@@ -66,7 +64,7 @@ impl fmt::Display for CkptPhase {
 }
 
 /// Which checkpoint image a recovery restored (§4.5 three-version rule).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RecoveryOutcome {
     /// The last checkpoint's commit record had persisted: recovered to
     /// `C_last`.
@@ -102,7 +100,7 @@ impl fmt::Display for RecoveryOutcome {
 /// instantaneous call, so a crash point can land *inside* recovery. Each
 /// step is idempotent: a nested crash restarts the whole sequence from the
 /// persisted commit record and converges to the same image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RecoveryStep {
     /// Read the 64 B commit record from the backup region to locate the
     /// newest completed checkpoint.
@@ -137,7 +135,7 @@ impl fmt::Display for RecoveryStep {
 
 /// Kind of an NVM media fault, for classification in [`MediaStats`] and in
 /// [`crate::Error::MediaCorruption`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultKind {
     /// A transient bit flip: one read returns a flipped bit, a retry of the
     /// same location reads back clean.
@@ -174,7 +172,7 @@ impl fmt::Display for FaultKind {
 /// `meta_corruptions` counts checkpoint-metadata images that failed their
 /// checksum. The remaining counters describe what the controller did about
 /// the faults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MediaStats {
     /// Transient bit flips observed on reads.
     pub bit_flips: u64,
@@ -272,7 +270,7 @@ impl MediaStats {
 /// overwritten whole by a fresh store (`poison_overwritten`), or wiped by a
 /// power cycle (`poison_cleared_by_crash`) — so
 /// `poisoned_blocks == poison_accounted() + outstanding poison`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Single-bit transients corrected by the SEC-DED code.
     pub corrected_flips: u64,
@@ -351,7 +349,7 @@ impl DramStats {
 /// bound is `tampers_injected + classified_media >= tampers_detected`;
 /// the slack is tampering still armed but not yet applied (no completed
 /// checkpoint to tamper with).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SecurityStats {
     /// 64 B blocks encrypted on their way to NVM (counter-mode: each bump
     /// of the per-block write counter encrypts one block).
@@ -454,7 +452,7 @@ impl SecurityStats {
 /// FailSafe`). Demotion can skip rungs when a severe signal fires;
 /// promotion climbs one rung at a time after a hysteresis window of clean
 /// epochs, and `FailSafe` never promotes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HealthRung {
     /// No degradation signal: full service.
     #[default]
@@ -490,7 +488,7 @@ impl fmt::Display for HealthRung {
 /// Ladder conservation: promotion climbs one rung at a time and only after
 /// a demotion put the ladder below `Healthy`, so `promotions <= demotions`
 /// always holds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthStats {
     /// Epoch-boundary signal evaluations performed by the monitor.
     pub evaluations: u64,
@@ -552,7 +550,7 @@ impl HealthStats {
 /// `media_attempts + recovery_attempts == MediaStats::retries`, and the
 /// DRAM loop mirrors [`DramStats::refetch_retries`] exactly
 /// (`dram_attempts == refetch_retries`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Attempts spent by the NVM data-read healing loop.
     pub media_attempts: u64,
@@ -589,7 +587,7 @@ impl RetryStats {
 /// exactly once — `enqueued == drained + dropped_at_crash +`
 /// [`WpqStats::outstanding`] — so a leaked or double-counted persist shows
 /// up as a ledger imbalance, not a silent divergence.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WpqStats {
     /// Entries that entered the buffer.
     pub enqueued: u64,
@@ -635,7 +633,7 @@ impl WpqStats {
 }
 
 /// Observability record of one injected crash and its recovery.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashEvent {
     /// Cycle at which power was lost.
     pub cycle: Cycle,
@@ -658,7 +656,7 @@ pub struct CrashEvent {
 ///
 /// All byte counters are cumulative; all cycle counters are sums of simulated
 /// time. A fresh value is all-zero ([`MemStats::default`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Read requests serviced.
     pub reads: u64,
@@ -875,7 +873,7 @@ impl MemStats {
 /// fires when the model is armed would corrupt fault schedules). They are
 /// host-performance accounting only; no simulated time or fault decision
 /// depends on them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfStats {
     /// NVM data reads that skipped the media fault model because it was
     /// quiet; each skip saved a seeded-stream consultation and a stuck-cell
