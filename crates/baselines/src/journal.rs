@@ -98,28 +98,6 @@ impl Journaling {
         HwAddr::new(u64::from(slot) * SLOT_BYTES)
     }
 
-    /// Attributes counter-mode encryption + MAC work for `bytes` of data.
-    /// Pure stats, as in ThyNVM: the AES-CTR pads overlap the burst
-    /// transfers. A no-op with secure mode off, so disabled runs stay
-    /// bit-identical.
-    fn charge_crypto(&mut self, bytes: u64, encrypt: bool) {
-        if self.security.is_none() {
-            return;
-        }
-        let blocks = bytes.div_ceil(BLOCK_BYTES);
-        if blocks == 0 {
-            return;
-        }
-        let ns = (self.cfg.security.crypto_ns_per_block + self.cfg.security.mac_ns_per_block)
-            * blocks;
-        self.stats.security.crypto_cycles += Cycle::from_ns(ns);
-        if encrypt {
-            self.stats.security.blocks_encrypted += blocks;
-        } else {
-            self.stats.security.blocks_verified += blocks;
-        }
-    }
-
     /// Stop-the-world journal flush: write every buffered block to the NVM
     /// journal region, then commit it in place. Returns the completion
     /// cycle.
@@ -163,16 +141,15 @@ impl Journaling {
             // the same ciphertext.
             if let Some(sec) = self.security.as_mut() {
                 sec.note_block_write(home.raw());
+                self.stats.security.charge_crypto(&self.cfg.security, BLOCK_BYTES, true);
             }
-            self.charge_crypto(BLOCK_BYTES, true);
         }
         // Secure mode persists the dirty counters, the distinct tree nodes
         // on their paths to the root, and the root record *before* the
         // commit record — the state the commit flag covers must already be
         // authenticated (same discipline as ThyNVM's step 4b).
-        if self.security.is_some() {
-            let receipt =
-                self.security.as_mut().expect("invariant: secure mode is on in this block").persist();
+        if let Some(sec) = self.security.as_mut() {
+            let receipt = sec.persist();
             if receipt.counter_entries > 0 {
                 let ctr_bytes = receipt.counter_entries as u64 * META_ENTRY_BYTES;
                 t = self.nvm.access(
@@ -198,7 +175,7 @@ impl Journaling {
             t = self.nvm.access(HwAddr::new(JOURNAL_META_BASE + (2 << 20)), AccessKind::Write, 64, t);
             self.stats.record_nvm_write(64, NvmWriteClass::Checkpoint);
             self.stats.security.root_persists += 1;
-            self.charge_crypto(64, true);
+            self.stats.security.charge_crypto(&self.cfg.security, 64, true);
         }
         // Commit record.
         t = self.nvm.access(HwAddr::new(JOURNAL_BASE), AccessKind::Write, 64, t);

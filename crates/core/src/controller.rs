@@ -77,6 +77,13 @@ const COMMIT_RECORD_WORDS: usize = 8;
 /// security seed (distinct from the tamper-schedule stream).
 const TAG_MAC_KEY: u64 = 0x4d41_434b; // "MACK"
 
+/// The modeled MAC key: the basis fed to
+/// [`SparseStore::fingerprint_with_basis`], derived from the security seed.
+/// An attacker without it cannot produce a forgery that verifies.
+fn mac_key(cfg: &SystemConfig) -> u64 {
+    thynvm_types::rng::mix(cfg.security.seed, TAG_MAC_KEY)
+}
+
 /// A latent media fault injected into persisted checkpoint state.
 ///
 /// The fault is consulted at the next recovery and applies to whichever
@@ -282,6 +289,59 @@ enum NvmWrite {
     CommitRecord,
 }
 
+/// One durable checkpoint version (§4.5): the committed image together
+/// with the MAC and health rung persisted alongside it. The controller
+/// keeps two — `C_last` and `C_penult` — and recovery restores one of them
+/// whole, so everything durable with an image lives in this one record.
+#[derive(Debug, Clone)]
+struct Checkpoint {
+    /// Committed contents, physical address space.
+    image: SparseStore,
+    /// MAC over `image` under the modeled key — the authenticated
+    /// checkpoint root stored in NVM (recomputed only in secure mode).
+    mac: u64,
+    /// Rung persisted with the commit record (health ladder).
+    rung: HealthRung,
+}
+
+impl Checkpoint {
+    /// The empty image authenticated under `key`, at `Healthy`.
+    fn empty(key: u64) -> Self {
+        let image = SparseStore::new();
+        Self { mac: image.fingerprint_with_basis(key), image, rung: HealthRung::Healthy }
+    }
+
+    /// Re-authenticates the image under `key`.
+    fn seal(&mut self, key: u64) {
+        self.mac = self.image.fingerprint_with_basis(key);
+    }
+
+    /// Whether the recomputed MAC matches the persisted one.
+    fn verifies(&self, key: u64) -> bool {
+        self.image.fingerprint_with_basis(key) == self.mac
+    }
+}
+
+/// Which `take_*_error` drain surfaces a reported [`Error`]: one slot per
+/// fault domain, each holding the most recent error until taken.
+#[derive(Debug, Clone, Copy)]
+enum ErrorSlot {
+    /// Unrecoverable reads: retries exhausted, spare pool drained, or a
+    /// corruption delivered silently (no integrity checking).
+    Media,
+    /// A BTT spill the overflow handshake could not absorb.
+    Overflow,
+    /// DRAM poison under dirty data, quarantined and rolled back.
+    Poison,
+    /// Both checkpoint images failed authentication.
+    Security,
+    /// A commit record persisted over unfenced data entries (§4.4).
+    Ordering,
+    /// A store refused by the health ladder. Keep last: it sizes the
+    /// slot table.
+    Health,
+}
+
 /// The ThyNVM hybrid persistent-memory controller.
 ///
 /// See the [crate documentation](crate) for an overview and example.
@@ -318,9 +378,13 @@ pub struct ThyNvm {
     input_blocked_until: Cycle,
 
     // ---- functional layer ----
-    /// Latest recoverable contents (state at the last *completed*
-    /// checkpoint), physical address space.
-    committed: SparseStore,
+    /// `C_last`: the latest recoverable version (state at the last
+    /// *completed* checkpoint).
+    last: Checkpoint,
+    /// `C_penult`: the version `C_last` superseded — the fallback target
+    /// when `C_last` fails integrity verification at recovery. Rotated only
+    /// while media faults, integrity checking or secure mode is active.
+    penult: Checkpoint,
     /// Current software-visible contents.
     visible: SparseStore,
     /// Writes of the active epoch (applied to `visible`, not yet captured).
@@ -329,6 +393,8 @@ pub struct ThyNvm {
     ckpting_log: Vec<(u64, Vec<u8>)>,
     /// Report of the last recovery, if any.
     last_recovery: Option<RecoveryReport>,
+    /// The most recent error of each [`ErrorSlot`], until taken.
+    errors: [Option<Error>; ErrorSlot::Health as usize + 1],
     /// Archive of past committed images for §6-style bug tolerance
     /// (checkpoint number → image). Empty unless enabled.
     archive: std::collections::VecDeque<(u64, SparseStore)>,
@@ -355,10 +421,6 @@ pub struct ThyNvm {
     // ---- media faults & self-healing ----
     /// The NVM media-fault model, when `cfg.media.enabled`.
     fault: Option<FaultModel>,
-    /// The penultimate committed image — the fallback target when `C_last`
-    /// fails integrity verification at recovery. Maintained only while the
-    /// media subsystem is active.
-    committed_prev: SparseStore,
     /// Persistent bad-block table: device block base → spare slot. Blocks
     /// listed here have been permanently remapped away from worn-out cells;
     /// the table survives crashes (it is persisted NVM metadata).
@@ -380,13 +442,6 @@ pub struct ThyNvm {
     /// per [`MediaFault`] kind. Recovery peeks them at verification and
     /// consumes them all once a fallback makes `C_last` unreachable.
     injected_media: Vec<MediaFault>,
-    /// The most recent unrecoverable-read error (retries exhausted before a
-    /// remap healed the block, or the spare pool drained), for inspection.
-    last_media_error: Option<Error>,
-    /// The most recent unabsorbable BTT overflow: a spill was demanded
-    /// while the previous spill's early epoch end had not yet drained, so
-    /// the table genuinely could not recover by ending the epoch.
-    last_overflow_error: Option<Error>,
     /// Sequence number of the next write-ahead-log record in the backup
     /// region (bad-block remaps, recovery-side integrity fallbacks).
     wal_seq: u64,
@@ -398,37 +453,20 @@ pub struct ThyNvm {
     /// length)` ranges whose dirty data was dropped and rolled back to the
     /// last checkpoint because of uncorrectable DRAM errors.
     quarantine_events: Vec<(u64, u64)>,
-    /// The most recent poison-loss error, for inspection.
-    last_poison_error: Option<Error>,
 
     // ---- secure persistent memory mode ----
     /// The counter-mode encryption / integrity-tree model, when
     /// `cfg.security.enabled`.
     security: Option<SecurityModel>,
-    /// The modeled MAC key: the basis fed to
-    /// [`SparseStore::fingerprint_with_basis`], derived from the security
-    /// seed. An attacker without it cannot produce a forgery that verifies.
-    mac_key: u64,
-    /// MAC over the `C_last` committed image, rotated at job retirement.
-    /// Models the authenticated checkpoint root stored in NVM — it
-    /// survives crashes.
-    mac_last: u64,
-    /// MAC over the retained `C_penult` image (the fallback target).
-    mac_penult: u64,
     /// Armed tamper, applied at the next crash once a completed checkpoint
     /// exists to forge.
     injected_tamper: Option<TamperFault>,
-    /// The most recent both-images authentication failure, for inspection.
-    last_security_error: Option<Error>,
 
     // ---- volatile persist buffer (WPQ fault domain) ----
     /// The content-carrying persist buffer, when `cfg.wpq.enabled`. Writes
     /// pass through it before durability; `wpq_fence` is the §4.4 ordering
     /// primitive, and a crash partially flushes a seeded per-bank prefix.
     pbuf: Option<PersistBuffer>,
-    /// The most recent §4.4 ordering violation (a commit record persisted
-    /// while data entries were still pending), until taken.
-    last_ordering_error: Option<Error>,
     /// The most recent crash's partial-flush report, for harnesses that
     /// must know whether the commit marker was salvaged.
     last_wpq_flush: Option<WpqCrashReport>,
@@ -439,23 +477,12 @@ pub struct ThyNvm {
     // ---- graceful-degradation health ladder ----
     /// The hysteresis-driven degradation ladder, when `cfg.health.enabled`.
     health_mon: Option<HealthMonitor>,
-    /// Rung persisted with `C_last`'s commit record — what recovery
-    /// rehydrates when it restores `C_last`. Rotated like `mac_last`.
-    health_rung_last: HealthRung,
-    /// Rung persisted with the retained `C_penult` image (the fallback).
-    health_rung_penult: HealthRung,
-    /// Rung captured when the in-flight checkpoint's health record
-    /// persisted; rotated into `health_rung_last` at job retirement.
-    pending_health_rung: Option<HealthRung>,
-    /// The most recent degraded-store rejection, for inspection.
-    last_health_error: Option<Error>,
 }
 
 impl ThyNvm {
     /// Creates a controller with the given configuration.
     pub fn new(cfg: SystemConfig) -> Self {
-        let mac_key = thynvm_types::rng::mix(cfg.security.seed, TAG_MAC_KEY);
-        let empty_mac = SparseStore::new().fingerprint_with_basis(mac_key);
+        let empty = Checkpoint::empty(mac_key(&cfg));
         Self {
             space: AddressSpace::new(),
             dram: Device::new(DeviceKind::Dram, cfg.timing, cfg.dram_geometry),
@@ -473,11 +500,13 @@ impl ThyNvm {
             btt_spills: 0,
             epoch_dirty_blocks: 0,
             input_blocked_until: Cycle::ZERO,
-            committed: SparseStore::new(),
+            last: empty.clone(),
+            penult: empty,
             visible: SparseStore::new(),
             working_log: Vec::new(),
             ckpting_log: Vec::new(),
             last_recovery: None,
+            errors: Default::default(),
             archive: std::collections::VecDeque::new(),
             archive_depth: 0,
             epoch_length_hist: thynvm_types::Histogram::new(),
@@ -488,34 +517,21 @@ impl ThyNvm {
                 .media
                 .enabled
                 .then(|| FaultModel::new(&cfg.media, cfg.nvm_geometry.row_bytes)),
-            committed_prev: SparseStore::new(),
             bad_blocks: FxHashMap::default(),
             switch_scratch: FxHashMap::default(),
             reclaim_scratch: Vec::new(),
             next_spare_slot: 0,
             pending_corruption: None,
             injected_media: Vec::new(),
-            last_media_error: None,
-            last_overflow_error: None,
             wal_seq: 0,
             dram_fault: cfg.dram_fault.enabled.then(|| DramEccModel::new(&cfg.dram_fault)),
             quarantine_events: Vec::new(),
-            last_poison_error: None,
             security: cfg.security.enabled.then(|| SecurityModel::new(&cfg.security)),
-            mac_key,
-            mac_last: empty_mac,
-            mac_penult: empty_mac,
             injected_tamper: None,
-            last_security_error: None,
             pbuf: cfg.wpq.enabled.then(|| PersistBuffer::new(cfg.wpq, cfg.nvm_geometry)),
-            last_ordering_error: None,
             last_wpq_flush: None,
             wpq_skip_next_fence: false,
             health_mon: cfg.health.enabled.then(|| HealthMonitor::new(cfg.health)),
-            health_rung_last: HealthRung::Healthy,
-            health_rung_penult: HealthRung::Healthy,
-            pending_health_rung: None,
-            last_health_error: None,
             cfg,
         }
     }
@@ -714,7 +730,7 @@ impl ThyNvm {
     /// Takes the most recent unrecoverable-read error (a location whose
     /// bounded retries all failed before the block was remapped), if any.
     pub fn take_media_error(&mut self) -> Option<Error> {
-        self.last_media_error.take()
+        self.errors[ErrorSlot::Media as usize].take()
     }
 
     /// Takes the most recent table-overflow error: a BTT spill demanded
@@ -723,7 +739,25 @@ impl ThyNvm {
     /// still force-inserted (correctness is preserved); the error reports
     /// that the table was undersized for the workload.
     pub fn take_overflow_error(&mut self) -> Option<Error> {
-        self.last_overflow_error.take()
+        self.errors[ErrorSlot::Overflow as usize].take()
+    }
+
+    /// Keeps `err` as its domain's most recent error, replacing an untaken
+    /// one.
+    fn report(&mut self, err: Error) {
+        let slot = match err {
+            Error::MediaCorruption { .. }
+            | Error::RetriesExhausted { .. }
+            | Error::SpareExhausted { .. } => ErrorSlot::Media,
+            Error::TableFull { .. } => ErrorSlot::Overflow,
+            Error::DramPoisonLost { .. } => ErrorSlot::Poison,
+            Error::IntegrityUnrecoverable { .. } => ErrorSlot::Security,
+            Error::UnfencedCommit { .. } => ErrorSlot::Ordering,
+            Error::Degraded { .. } => ErrorSlot::Health,
+            // Address, config and rollback errors go straight to the caller.
+            _ => return,
+        };
+        self.errors[slot as usize] = Some(err);
     }
 
     /// Arms a latent media fault in persisted checkpoint state. Consulted
@@ -769,13 +803,13 @@ impl ThyNvm {
     /// image that verifies and reset to the empty image rather than replay
     /// forged data.
     pub fn take_security_error(&mut self) -> Option<Error> {
-        self.last_security_error.take()
+        self.errors[ErrorSlot::Security as usize].take()
     }
 
     /// MAC over the committed `C_last` image under the modeled key — what
     /// the next recovery's verification recomputes and compares.
     pub fn clast_mac(&self) -> u64 {
-        self.mac_last
+        self.last.mac
     }
 
     // ------------------------------------------------------------------
@@ -797,7 +831,7 @@ impl ThyNvm {
     /// persisted while the persist buffer still held data entries, so a
     /// crash could have made the commit durable before the data it commits.
     pub fn take_ordering_error(&mut self) -> Option<Error> {
-        self.last_ordering_error.take()
+        self.errors[ErrorSlot::Ordering as usize].take()
     }
 
     /// Test hook: suppress every [`Self::wpq_fence`] until the next
@@ -880,7 +914,9 @@ impl ThyNvm {
                 }
             }
         }
-        self.charge_crypto(encrypt, true);
+        if self.security.is_some() {
+            self.stats.security.charge_crypto(&self.cfg.security, encrypt, true);
+        }
         if wpq == Some(CommitMarker) {
             self.wpq_skip_next_fence = false;
             // Audit on *held* entries, not retire times: a correct round
@@ -888,8 +924,7 @@ impl ThyNvm {
             // so anything still held here means the fence was skipped.
             let pending = self.pbuf.as_ref().map_or(0, |p| p.held_data());
             if pending > 0 {
-                self.last_ordering_error =
-                    Some(Error::UnfencedCommit { addr: PhysAddr::new(hw.raw()), pending });
+                self.report(Error::UnfencedCommit { addr: PhysAddr::new(hw.raw()), pending });
             }
         }
         let resume = match (wpq, self.pbuf.as_mut()) {
@@ -934,14 +969,14 @@ impl ThyNvm {
     ///
     /// [`PersistenceOracle::record_health`]: crate::PersistenceOracle::record_health
     pub fn clast_health_rung(&self) -> HealthRung {
-        self.health_rung_last
+        self.last.rung
     }
 
     /// The rung captured for the checkpoint currently in flight, if any —
     /// the value its 64 B health record carries. Rotates into
     /// [`Self::clast_health_rung`] when the job retires.
     pub fn pending_health_rung(&self) -> Option<HealthRung> {
-        self.pending_health_rung
+        self.epoch.job.as_ref().and_then(|j| j.health_rung)
     }
 
     /// Pages allocated across the functional stores (visible + committed +
@@ -950,8 +985,8 @@ impl ThyNvm {
     /// set, not to simulated time.
     pub fn functional_footprint_pages(&self) -> usize {
         self.visible.allocated_pages()
-            + self.committed.allocated_pages()
-            + self.committed_prev.allocated_pages()
+            + self.last.image.allocated_pages()
+            + self.penult.image.allocated_pages()
             + self.archive.iter().map(|(_, s)| s.allocated_pages()).sum::<usize>()
     }
 
@@ -959,7 +994,7 @@ impl ThyNvm {
     /// ([`Error::Degraded`]) — a store refused because the ladder sits at
     /// `ReadOnly` or worse — if one occurred since the last call.
     pub fn take_health_error(&mut self) -> Option<Error> {
-        self.last_health_error.take()
+        self.errors[ErrorSlot::Health as usize].take()
     }
 
     /// The bounded-retry policy governing media CRC retries — NVM data
@@ -1019,7 +1054,7 @@ impl ThyNvm {
         }
         self.stats.health.stores_rejected += 1;
         let err = Error::Degraded { rung };
-        self.last_health_error = Some(err.clone());
+        self.report(err.clone());
         Some(err)
     }
 
@@ -1059,7 +1094,7 @@ impl ThyNvm {
     /// error under *dirty* data, whose range was quarantined and rolled
     /// back to the last checkpoint — if one occurred since the last call.
     pub fn take_poison_error(&mut self) -> Option<Error> {
-        self.last_poison_error.take()
+        self.errors[ErrorSlot::Poison as usize].take()
     }
 
     /// Drains the quarantine events recorded since the last call: the
@@ -1116,7 +1151,7 @@ impl ThyNvm {
         }
         // Rebuild the range from the last checkpoint plus captured writes.
         let mut img = vec![0u8; len as usize];
-        self.committed.read(thynvm_types::HwAddr::new(base), &mut img);
+        self.last.image.read(thynvm_types::HwAddr::new(base), &mut img);
         for (addr, data) in &self.ckpting_log {
             let a_end = *addr + data.len() as u64;
             if a_end <= base || *addr >= end {
@@ -1165,8 +1200,7 @@ impl ThyNvm {
         self.stats.dram.quarantined_pages += 1;
         self.stats.dram.quarantine_dropped_bytes += PAGE_BYTES;
         self.stats.pages_demoted += 1;
-        self.last_poison_error =
-            Some(Error::DramPoisonLost { addr: page.base_addr(), bytes: PAGE_BYTES });
+        self.report(Error::DramPoisonLost { addr: page.base_addr(), bytes: PAGE_BYTES });
         done
     }
 
@@ -1200,8 +1234,7 @@ impl ThyNvm {
         }
         self.quarantine_rollback(block.base_addr().raw(), BLOCK_BYTES);
         self.stats.dram.quarantine_dropped_bytes += BLOCK_BYTES;
-        self.last_poison_error =
-            Some(Error::DramPoisonLost { addr: block.base_addr(), bytes: BLOCK_BYTES });
+        self.report(Error::DramPoisonLost { addr: block.base_addr(), bytes: BLOCK_BYTES });
         now
     }
 
@@ -1250,30 +1283,6 @@ impl ThyNvm {
         self.stats.media.crc_check_cycles += Cycle::from_ns(CRC_NS_PER_BLOCK * blocks);
     }
 
-    /// Attributes counter-mode encryption + MAC work for `bytes` of data
-    /// (`encrypt` distinguishes the write path from read-side decrypt +
-    /// verify). Pure stats, like [`Self::charge_crc`]: the AES-CTR pads are
-    /// precomputed from the counters and XORed in the controller pipeline,
-    /// overlapping the burst transfers. A no-op with secure mode off, so
-    /// disabled runs stay bit-identical.
-    fn charge_crypto(&mut self, bytes: u64, encrypt: bool) {
-        if self.security.is_none() {
-            return;
-        }
-        let blocks = bytes.div_ceil(BLOCK_BYTES);
-        if blocks == 0 {
-            return;
-        }
-        let ns = (self.cfg.security.crypto_ns_per_block + self.cfg.security.mac_ns_per_block)
-            * blocks;
-        self.stats.security.crypto_cycles += Cycle::from_ns(ns);
-        if encrypt {
-            self.stats.security.blocks_encrypted += blocks;
-        } else {
-            self.stats.security.blocks_verified += blocks;
-        }
-    }
-
     /// Resolves the bad-block indirection: accesses to a remapped block go
     /// to its spare location instead of the worn-out original.
     fn remapped(&self, hw: HwAddr) -> HwAddr {
@@ -1311,7 +1320,7 @@ impl ThyNvm {
     fn remap_bad_block(&mut self, base: u64, now: Cycle) -> Option<Cycle> {
         if self.spares_exhausted() {
             self.stats.media.spare_exhausted += 1;
-            self.last_media_error = Some(Error::SpareExhausted { addr: PhysAddr::new(base) });
+            self.report(Error::SpareExhausted { addr: PhysAddr::new(base) });
             return None;
         }
         // WAL intent: the (bad block → spare slot) assignment.
@@ -1345,7 +1354,9 @@ impl ThyNvm {
         let done = self.nvm_read(hw, bytes, now);
         // Secure mode decrypts + MAC-verifies every NVM data read,
         // independent of the media-fault model.
-        self.charge_crypto(u64::from(bytes), false);
+        if self.security.is_some() {
+            self.stats.security.charge_crypto(&self.cfg.security, u64::from(bytes), false);
+        }
         if self.fault.is_none() {
             return done;
         }
@@ -1371,7 +1382,7 @@ impl ThyNvm {
             // No CRCs: nothing detects the corruption; the wrong bytes are
             // delivered to software by the functional layer.
             self.stats.media.silent_corruptions += 1;
-            self.last_media_error = Some(Error::MediaCorruption {
+            self.report(Error::MediaCorruption {
                 addr: PhysAddr::new(block.base_addr().raw() + fault_offset),
                 kind: ev.kind,
             });
@@ -1384,7 +1395,7 @@ impl ThyNvm {
             // Every retry failed: the location is permanently bad (a
             // stuck-at cell). Remap the block away from it; with the spare
             // pool drained the block keeps limping along on CRC retries.
-            self.last_media_error = Some(Error::RetriesExhausted {
+            self.report(Error::RetriesExhausted {
                 addr: PhysAddr::new(block.base_addr().raw() + fault_offset),
                 attempts: self.cfg.media.max_read_retries,
             });
@@ -1529,47 +1540,37 @@ impl ThyNvm {
         self.commit_job(job);
     }
 
-    /// Commits a *taken* checkpoint job: rotates the three-version images,
-    /// MACs, health rungs, block/page versions, and applies deferred
-    /// scheme switches. Shared by normal retirement and by the crash-time
-    /// early-commit path, where the persist buffer's partial flush
-    /// salvaged the commit marker of a still-in-flight job.
+    /// Commits a *taken* checkpoint job: rotates the checkpoint versions,
+    /// block/page versions, and applies deferred scheme switches. Shared by
+    /// normal retirement and by the crash-time early-commit path, where the
+    /// persist buffer's partial flush salvaged the commit marker of a
+    /// still-in-flight job.
     fn commit_job(&mut self, job: CkptJob) {
         let retire_at = job.done_at;
 
-        // The image about to be superseded becomes `C_penult` — the
+        // The version about to be superseded becomes `C_penult` — the
         // integrity-fallback target should `C_last` later fail verification
         // (media CRCs or secure-mode MAC authentication).
         if self.fault.is_some() || self.cfg.media.integrity || self.security.is_some() {
-            self.committed_prev = self.committed.clone();
+            self.penult = self.last.clone();
         }
 
-        // Functional commit: the checkpointed epoch's writes become durable.
+        // Functional commit: the checkpointed epoch's writes become durable,
+        // authenticated under the modeled key, with the rung the round's
+        // health record carried.
         for (addr, data) in self.ckpting_log.drain(..) {
-            self.committed.write(thynvm_types::HwAddr::new(addr), &data);
+            self.last.image.write(thynvm_types::HwAddr::new(addr), &data);
         }
-
-        // Rotate the checkpoint MACs with the images: the superseded
-        // image's MAC becomes the fallback's reference, and the fresh
-        // committed image is authenticated under the modeled key.
         if self.security.is_some() {
-            self.mac_penult = self.mac_last;
-            self.mac_last = self.committed.fingerprint_with_basis(self.mac_key);
+            self.last.seal(mac_key(&self.cfg));
         }
-
-        // Rotate the persisted health rung alongside the images it was
-        // durable with: the superseded `C_last`'s rung becomes the fallback
-        // reference, the just-committed record's rung becomes `C_last`'s.
-        if self.health_mon.is_some() {
-            self.health_rung_penult = self.health_rung_last;
-            if let Some(rung) = self.pending_health_rung.take() {
-                self.health_rung_last = rung;
-            }
+        if let Some(rung) = job.health_rung {
+            self.last.rung = rung;
         }
 
         // §6 bug-tolerance extension: archive the committed image.
         if self.archive_depth > 0 {
-            self.archive.push_back((self.epoch.completed, self.committed.clone()));
+            self.archive.push_back((self.epoch.completed, self.last.image.clone()));
             while self.archive.len() > self.archive_depth {
                 self.archive.pop_front();
             }
@@ -1815,7 +1816,7 @@ impl ThyNvm {
             // (bounded by one platform event).
             if self.reclaim_quiescent(now, 64) == 0 {
                 if self.epoch.overflow_pending {
-                    self.last_overflow_error = Some(Error::TableFull { table: "BTT" });
+                    self.report(Error::TableFull { table: "BTT" });
                 }
                 self.epoch.overflow_pending = true;
                 self.btt_spills += 1;
@@ -1891,7 +1892,7 @@ impl ThyNvm {
                 // entry can be replaced does the epoch end early.
                 if self.reclaim_quiescent(now, 64) == 0 {
                     if self.epoch.overflow_pending {
-                        self.last_overflow_error = Some(Error::TableFull { table: "BTT" });
+                        self.report(Error::TableFull { table: "BTT" });
                     }
                     self.epoch.overflow_pending = true;
                     self.btt_spills += 1;
@@ -2094,12 +2095,13 @@ impl ThyNvm {
             .ok_or(thynvm_types::Error::NoCheckpoint)?;
         // Invalidate the in-flight job and everything after `number`.
         self.epoch.job = None;
-        self.committed = image;
+        self.last.image = image;
         // The archived image becomes `C_last` by deliberate operator
         // action: re-authenticate it so recovery's MAC verification does
-        // not mistake the sanctioned rollback for tampering.
+        // not mistake the sanctioned rollback for tampering. The durable
+        // rung stays: the archive holds images only.
         if self.security.is_some() {
-            self.mac_last = self.committed.fingerprint_with_basis(self.mac_key);
+            self.last.seal(mac_key(&self.cfg));
         }
         self.archive.retain(|(n, _)| *n <= number);
         let report = self.crash_and_recover(now);
@@ -2165,9 +2167,9 @@ impl ThyNvm {
         self.space.check_phys(addr, data.len() as u64)?;
         // A stale rejection from an earlier call must not masquerade as
         // this store's outcome.
-        self.last_health_error = None;
+        self.errors[ErrorSlot::Health as usize] = None;
         let done = self.store_bytes(addr, data, now);
-        match self.last_health_error.take() {
+        match self.take_health_error() {
             Some(e) => Err(e),
             None => Ok(done),
         }
@@ -2236,7 +2238,7 @@ impl ThyNvm {
             store.write(HwAddr::new(addr), &b);
         };
         match fault {
-            TamperFault::ClastData { addr } => forge(&mut self.committed, addr),
+            TamperFault::ClastData { addr } => forge(&mut self.last.image, addr),
             TamperFault::StaleCounterTable => self
                 .security
                 .as_mut()
@@ -2248,8 +2250,8 @@ impl ThyNvm {
                 .expect("invariant: tamper applied only with secure mode on")
                 .tamper_torn_root(),
             TamperFault::BothImages { addr } => {
-                forge(&mut self.committed, addr);
-                forge(&mut self.committed_prev, addr);
+                forge(&mut self.last.image, addr);
+                forge(&mut self.penult.image, addr);
             }
         }
     }
@@ -2310,11 +2312,10 @@ impl ThyNvm {
             }
         }
 
-        // Anything in flight is lost — including the rung captured by the
-        // incomplete checkpoint's health record (its commit flag never set).
+        // Anything in flight is lost — including the rung the incomplete
+        // checkpoint's health record carried (its commit flag never set).
         let mut verdict =
             Verdict { rolled_back_incomplete: self.epoch.job.take().is_some(), ..Verdict::default() };
-        self.pending_health_rung = None;
         self.ckpting_log.clear();
         self.working_log.clear();
         self.pending_pages.clear();
@@ -2381,20 +2382,18 @@ impl ThyNvm {
         };
 
         // Roll the visible image back to the recovered checkpoint.
-        self.visible = self.committed.clone();
+        self.visible = self.last.image.clone();
 
         // Rehydrate the health ladder with the rung that was durable
-        // alongside the restored image (the rotation in the fallback paths
-        // keeps `health_rung_last` tracking `committed`). A tamper detected
-        // by *this* recovery, or an unrecoverable verdict, overrides it:
-        // the ladder lands at FailSafe, which never promotes.
+        // alongside the restored image. A tamper detected by *this*
+        // recovery, or an unrecoverable verdict, overrides it: the ladder
+        // lands at FailSafe, which never promotes.
         if self.health_mon.is_some() {
-            // `health_rung_last` mirrors the durable record at
-            // `health_record()` exactly: it starts Healthy (no record, no
-            // standing degradation) and only changes when a record commits
-            // — checkpoint retirement, fallback rotation, or the
-            // override-persist below.
-            let persisted = self.health_rung_last;
+            // `last.rung` mirrors the durable record at `health_record()`
+            // exactly: it starts Healthy (no record, no standing
+            // degradation) and only changes when a record commits —
+            // checkpoint retirement, fallback, or the override-persist below.
+            let persisted = self.last.rung;
             let rung = if verdict.unrecoverable
                 || self.stats.security.tampers_detected > tampers_before
             {
@@ -2433,7 +2432,7 @@ impl ThyNvm {
                 (end, _) = self.nvm_write(wal, NvmWrite::WalUnbuffered, end);
                 self.stats.media.wal_seals += 1;
                 self.stats.health.rung_persists += 1;
-                self.health_rung_last = rung;
+                self.last.rung = rung;
             }
         }
 
@@ -2546,7 +2545,9 @@ impl ThyNvm {
         let hw = self.remapped(hw);
         let done = self.nvm_read(hw, bytes, now);
         self.charge_crc(u64::from(bytes));
-        self.charge_crypto(u64::from(bytes), false);
+        if self.security.is_some() {
+            self.stats.security.charge_crypto(&self.cfg.security, u64::from(bytes), false);
+        }
         if !self.cfg.media.integrity
             || self.fault.as_mut().is_none_or(|f| f.read_fault(hw, bytes).is_none())
         {
@@ -2583,18 +2584,12 @@ impl ThyNvm {
         Ok(w)
     }
 
-    /// Rotates the retained `C_penult` image in as `C_last` after `C_last`
-    /// failed verification, with the MAC and health rung persisted
-    /// alongside it, and steps the completed-checkpoint count back.
+    /// Restores the retained `C_penult` version — image, MAC and rung — as
+    /// `C_last` after `C_last` failed verification, and steps the
+    /// completed-checkpoint count back.
     // lint: recovery-path
     fn fall_back_to_penult(&mut self) {
-        self.committed = self.committed_prev.clone();
-        if self.security.is_some() {
-            self.mac_last = self.mac_penult;
-        }
-        if self.health_mon.is_some() {
-            self.health_rung_last = self.health_rung_penult;
-        }
+        self.last = self.penult.clone();
         // Saturating: a CRC fallback may already have landed on zero
         // completed checkpoints before a second (MAC) fallback.
         self.epoch.completed = self.epoch.completed.saturating_sub(1);
@@ -2677,22 +2672,20 @@ impl ThyNvm {
                 t,
                 remaps,
             );
-            self.charge_crypto(table_bytes + 64, false);
+            self.stats.security.charge_crypto(&self.cfg.security, table_bytes + 64, false);
             // An armed media fault with CRC protection off: nothing else
             // would detect it, but the MAC does — accidentally corrupt
             // bytes fail authentication just like forged ones.
             let media_caught = !self.cfg.media.integrity && !self.injected_media.is_empty();
-            let mac_ok = !media_caught
-                && self.committed.fingerprint_with_basis(self.mac_key) == self.mac_last;
+            let key = mac_key(&self.cfg);
+            let mac_ok = !media_caught && self.last.verifies(key);
             let table_ok = self.security.as_ref().expect("invariant: secure mode is on in this block").table_authentic();
             self.recovery_interrupt(RecoveryStep::VerifyMacs, t, *verdict)?;
             steps.push((RecoveryStep::VerifyMacs, t));
 
             if !mac_ok || !table_ok {
                 let root_torn = self.security.as_ref().expect("invariant: secure mode is on in this block").root_is_torn();
-                let penult_ok = mac_ok
-                    || self.committed_prev.fingerprint_with_basis(self.mac_key)
-                        == self.mac_penult;
+                let penult_ok = mac_ok || self.penult.verifies(key);
                 // Either outcome commits through the WAL first — intent,
                 // act, seal — so an interruption leaves a torn record the
                 // next attempt detects and redoes, never a half-applied
@@ -2727,12 +2720,12 @@ impl ThyNvm {
                 } else {
                     // Both images fail authentication: replaying either
                     // would hand unauthenticated (possibly attacker-
-                    // chosen) data to software. Reset to the provably
-                    // empty image and surface the error instead.
-                    self.committed = SparseStore::new();
-                    self.committed_prev = SparseStore::new();
-                    self.mac_last = SparseStore::new().fingerprint_with_basis(self.mac_key);
-                    self.mac_penult = self.mac_last;
+                    // chosen) data to software. Reset both images to the
+                    // provably empty one and surface the error instead.
+                    // The durable rungs stay: the health record is separate
+                    // NVM state the forgery did not touch.
+                    self.last = Checkpoint { rung: self.last.rung, ..Checkpoint::empty(key) };
+                    self.penult = Checkpoint { rung: self.penult.rung, ..Checkpoint::empty(key) };
                     self.btt = Btt::new(self.cfg.thynvm.btt_entries);
                     self.ptt = Ptt::new(
                         self.cfg.thynvm.ptt_entries.min(self.cfg.thynvm.dram_pages() as usize),
@@ -2740,9 +2733,7 @@ impl ThyNvm {
                     self.epoch.completed = 0;
                     self.security.as_mut().expect("invariant: secure mode is on in this block").reset();
                     self.stats.security.unrecoverable += 1;
-                    self.last_security_error = Some(Error::IntegrityUnrecoverable {
-                        epoch: self.epoch.active_epoch,
-                    });
+                    self.report(Error::IntegrityUnrecoverable { epoch: self.epoch.active_epoch });
                     verdict.unrecoverable = true;
                 }
                 steps.push((RecoveryStep::IntegrityFallback, t));
@@ -3148,10 +3139,10 @@ impl ThyNvm {
         // just before the commit record, riding the same discipline — a
         // crash before the commit flag leaves the previous epoch's sealed
         // rung in effect, exactly like every other piece of metadata.
-        if let Some(rung) = self.health_mon.as_ref().map(HealthMonitor::rung) {
+        let health_rung = self.health_mon.as_ref().map(HealthMonitor::rung);
+        if health_rung.is_some() {
             (bg, _) = self.nvm_write(self.space.health_record(), NvmWrite::Metadata { bytes: 64 }, bg);
             self.stats.health.rung_persists += 1;
-            self.pending_health_rung = Some(rung);
         }
 
         // §4.4: everything the commit record covers — data, metadata,
@@ -3185,6 +3176,7 @@ impl ThyNvm {
             pages_at: phase3_done,
             writeback_done,
             frozen_pages: frozen,
+            health_rung,
         };
         self.epoch.start_job(job, t);
 
@@ -5201,6 +5193,71 @@ mod tests {
             t = sys.drain(t);
         }
         assert_eq!(sys.health_rung(), HealthRung::FailSafe);
+        assert_eq!(sys.clast_health_rung(), HealthRung::FailSafe, "override is durable");
+        // A both-images tamper now resets both images but keeps the durable
+        // rung: FailSafe already outranks nothing, so no override persists.
+        sys.inject_tamper(TamperFault::BothImages { addr: 0 });
+        let persists = sys.stats().health.rung_persists;
+        let report = sys.crash_and_recover(t);
+        assert!(report.unrecoverable, "no authenticated image exists");
+        assert_eq!(sys.stats().health.rung_persists, persists, "no second override");
+        assert_eq!(sys.clast_health_rung(), HealthRung::FailSafe);
+        assert_eq!(sys.health_rung(), HealthRung::FailSafe);
+        assert_health_conservation(&sys);
+    }
+
+    /// Health + secure + media config whose first checkpoint persists
+    /// `Healthy` and whose second persists `Wounded` over a different image,
+    /// so `C_penult` and `C_last` differ in image, MAC and rung. Returns the
+    /// system, the cycle, and `C_penult`'s `(MAC, rung)`.
+    fn distinct_penult_and_last() -> (ThyNvm, Cycle, (u64, HealthRung)) {
+        let mut sys = ThyNvm::new(health_cfg(|c| {
+            c.media = thynvm_types::MediaFaultConfig::hardened();
+            c.media.stuck_at_threshold = 2;
+            c.media.scrub = false;
+            c.health.wounded_retry_rate = 1;
+            c.security = thynvm_types::SecurityConfig::hardened();
+        }));
+        let t = sys.store_bytes(PhysAddr::new(0), &[7u8; 64], Cycle::ZERO);
+        let t = sys.store_bytes(PhysAddr::new(0), &[7u8; 64], t);
+        let mut buf = [0u8; 64];
+        let t = sys.load_bytes(PhysAddr::new(0), &mut buf, t);
+        let t = sys.force_checkpoint(t);
+        let t = sys.drain(t);
+        let penult = (sys.clast_mac(), sys.clast_health_rung());
+        let t = sys.store_bytes(PhysAddr::new(4096), &[2u8; 64], t);
+        let t = sys.force_checkpoint(t);
+        let t = sys.drain(t);
+        assert_eq!(penult.1, HealthRung::Healthy);
+        assert_eq!(sys.clast_health_rung(), HealthRung::Wounded);
+        assert_ne!(sys.clast_mac(), penult.0, "the images differ");
+        (sys, t, penult)
+    }
+
+    #[test]
+    fn single_image_fallbacks_restore_the_penult_mac_and_rung() {
+        // CRC fallback: nothing overrides the restored record, so `C_last`
+        // now carries exactly the MAC and rung `C_penult` was durable with.
+        let (mut sys, t, penult) = distinct_penult_and_last();
+        sys.inject_media_fault(MediaFault::TornCommitRecord);
+        let report = sys.crash_and_recover(t);
+        assert!(report.integrity_fallback && !report.unrecoverable);
+        assert_eq!(sys.stats().security.tampers_detected, 0);
+        assert_eq!((sys.clast_mac(), sys.clast_health_rung()), penult);
+        assert_eq!(sys.health_rung(), HealthRung::Healthy, "rehydrated from C_penult");
+
+        // Tamper fallback: the MAC is `C_penult`'s too; the detection then
+        // escalates the restored `Healthy` rung to FailSafe with exactly one
+        // override persist.
+        let (mut sys, t, penult) = distinct_penult_and_last();
+        sys.inject_tamper(TamperFault::ClastData { addr: 0 });
+        let persists = sys.stats().health.rung_persists;
+        let report = sys.crash_and_recover(t);
+        assert!(report.integrity_fallback && !report.unrecoverable);
+        assert_eq!(sys.stats().security.verify_fallbacks, 1);
+        assert_eq!(sys.clast_mac(), penult.0);
+        assert_eq!(sys.stats().health.rung_persists, persists + 1, "override of C_penult's rung");
+        assert_eq!(sys.clast_health_rung(), HealthRung::FailSafe);
         assert_health_conservation(&sys);
     }
 

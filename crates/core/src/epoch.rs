@@ -7,7 +7,7 @@
 //! checkpointing phase until epoch *N*'s has completed — when both are due,
 //! the processor stalls (the Figure 3(b) corner case).
 
-use thynvm_types::{CkptPhase, Cycle, FxHashSet, PageIndex};
+use thynvm_types::{CkptPhase, Cycle, FxHashSet, HealthRung, PageIndex};
 
 /// An in-flight checkpointing phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +36,10 @@ pub struct CkptJob {
     pub writeback_done: Vec<Cycle>,
     /// Pages whose DRAM copies are frozen while this job writes them back.
     pub frozen_pages: FxHashSet<PageIndex>,
+    /// Rung carried by this round's 64 B health record (health ladder on):
+    /// it becomes `C_last`'s rung when the job commits and is lost with
+    /// the job if power fails first.
+    pub health_rung: Option<HealthRung>,
 }
 
 impl CkptJob {
@@ -156,6 +160,7 @@ mod tests {
             pages_at: Cycle::new(started + 3 * span / 4),
             writeback_done: Vec::new(),
             frozen_pages: FxHashSet::default(),
+            health_rung: None,
         }
     }
 

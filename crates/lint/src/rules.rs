@@ -46,12 +46,13 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Fields of the controller/baselines that hold a raw `SparseStore`, plus
-/// the conventional local name `store`. A call `<receiver>.<mutator>(…)`
+/// Fields of the controller/baselines that hold a raw `SparseStore` (the
+/// controller's checkpoint versions hold theirs in `image`), plus the
+/// conventional local name `store`. A call `<receiver>.<mutator>(…)`
 /// outside the sanctioned sites is a raw NVM write escaping the sealed
 /// persistence APIs.
 pub(crate) const STORE_RECEIVERS: &[&str] =
-    &["store", "committed", "committed_prev", "visible", "buffer_data"];
+    &["store", "committed", "committed_prev", "image", "visible", "buffer_data"];
 
 /// `SparseStore` mutating methods.
 pub(crate) const STORE_MUTATORS: &[&str] = &["write", "write_words", "copy_within", "clear"];
@@ -302,14 +303,7 @@ fn rule_l3(files: &[FileIndex], out: &mut Vec<Diagnostic>) {
         if !STATS_STRUCTS.contains(&field.owner.as_str()) {
             continue;
         }
-        if field.ty == "MediaStats"
-            || field.ty == "DramStats"
-            || field.ty == "PerfStats"
-            || field.ty == "SecurityStats"
-            || field.ty == "HealthStats"
-            || field.ty == "RetryStats"
-            || field.ty == "WpqStats"
-        {
+        if STATS_STRUCTS.contains(&field.ty.as_str()) {
             continue; // aggregate of counters, each checked individually
         }
         let mut mutated = false;

@@ -220,6 +220,18 @@ fn write_primitive_calls_seed_l8_and_l10() {
 }
 
 #[test]
+fn checkpoint_image_writes_are_confined_to_the_allowlist() {
+    let diags = lint_one(
+        "crates/core/src/controller.rs",
+        include_str!("fixtures/checkpoint_image.rs"),
+    );
+    // The raw `C_last` image write in `patch_clast` (line 6) escapes the
+    // sealed paths; the identical write in `commit_job` is the commit point.
+    assert_eq!(keyed(&diags), vec![("L1", 6)], "{diags:?}");
+    assert!(diags[0].msg.contains("image.write"), "{}", diags[0].msg);
+}
+
+#[test]
 fn clean_fixture_produces_no_diagnostics() {
     let diags = lint_one("crates/core/src/clean.rs", include_str!("fixtures/clean.rs"));
     assert!(diags.is_empty(), "{diags:?}");

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use crate::addr::BLOCK_BYTES;
+use crate::config::SecurityConfig;
 use crate::cycle::Cycle;
 
 /// Classification of a write reaching NVM, for the Figure 8 breakdown.
@@ -232,14 +234,7 @@ impl MediaStats {
     /// Whether any media-fault activity was recorded at all.
     #[must_use]
     pub fn any(&self) -> bool {
-        self.total_faults() > 0
-            || self.retries > 0
-            || self.remaps > 0
-            || self.scrub_repairs > 0
-            || self.crc_checked_blocks > 0
-            || self.spare_exhausted > 0
-            || self.wal_seals > 0
-            || self.wal_redos > 0
+        *self != Self::default()
     }
 
     /// Merges another record into this one (summing all fields).
@@ -316,11 +311,7 @@ impl DramStats {
     /// Whether any DRAM fault activity was recorded at all.
     #[must_use]
     pub fn any(&self) -> bool {
-        self.corrected_flips > 0
-            || self.poisoned_blocks > 0
-            || self.refetch_retries > 0
-            || self.quarantined_pages > 0
-            || self.quarantine_dropped_bytes > 0
+        *self != Self::default()
     }
 
     /// Merges another record into this one (summing all fields).
@@ -411,17 +402,29 @@ impl SecurityStats {
         self.verify_fallbacks + self.unrecoverable
     }
 
+    /// Attributes counter-mode encryption + MAC work for `bytes` of data
+    /// at `cfg`'s per-block costs (`encrypt` distinguishes the write path
+    /// from read-side decrypt + verify). Pure stats: the AES-CTR pads are
+    /// precomputed from the counters and overlap the burst transfers.
+    /// Callers charge only with secure mode on, so disabled runs stay
+    /// bit-identical.
+    pub fn charge_crypto(&mut self, cfg: &SecurityConfig, bytes: u64, encrypt: bool) {
+        let blocks = bytes.div_ceil(BLOCK_BYTES);
+        if blocks == 0 {
+            return;
+        }
+        self.crypto_cycles += Cycle::from_ns((cfg.crypto_ns_per_block + cfg.mac_ns_per_block) * blocks);
+        if encrypt {
+            self.blocks_encrypted += blocks;
+        } else {
+            self.blocks_verified += blocks;
+        }
+    }
+
     /// Whether any secure-mode activity was recorded at all.
     #[must_use]
     pub fn any(&self) -> bool {
-        self.blocks_encrypted > 0
-            || self.blocks_verified > 0
-            || self.counter_persists > 0
-            || self.tree_node_persists > 0
-            || self.root_persists > 0
-            || self.counters_replayed > 0
-            || self.tampers_injected > 0
-            || self.tampers_detected > 0
+        *self != Self::default()
     }
 
     /// Merges another record into this one (summing all fields).
@@ -518,14 +521,7 @@ impl HealthStats {
     /// Whether any health-ladder activity was recorded at all.
     #[must_use]
     pub fn any(&self) -> bool {
-        self.evaluations > 0
-            || self.demotions > 0
-            || self.promotions > 0
-            || self.stores_rejected > 0
-            || self.emergency_checkpoints > 0
-            || self.scrub_deferrals > 0
-            || self.rung_persists > 0
-            || self.rehydrations > 0
+        *self != Self::default()
     }
 
     /// Merges another record into this one (summing all fields).
@@ -570,7 +566,7 @@ impl RetryStats {
     /// Whether any retry budget was spent at all.
     #[must_use]
     pub fn any(&self) -> bool {
-        self.attempts_total() > 0
+        *self != Self::default()
     }
 
     /// Merges another record into this one (summing all fields).
@@ -617,7 +613,7 @@ impl WpqStats {
     /// Whether the buffer recorded any activity at all.
     #[must_use]
     pub fn any(&self) -> bool {
-        self.enqueued > 0 || self.fences > 0
+        *self != Self::default()
     }
 
     /// Merges another record into this one (summing the flow counters,
