@@ -1032,7 +1032,7 @@ pub fn e22_secure_mode(scale: Scale) -> Table {
 ///
 /// Two claims made measurable: the quiet health-on row is cycle-identical
 /// to the quiet health-off row (the ladder costs nothing until a signal
-/// fires — the same twin that `BENCH_simspeed.json` pins), and under
+/// fires; `tests/sim_cycles_pins.rs` pins the raw-controller twin), and under
 /// sustained wear the ladder degrades monotonically instead of letting
 /// retry latency grow unbounded.
 pub fn e23_endurance(scale: Scale) -> Table {
@@ -1153,7 +1153,7 @@ pub fn e23_endurance(scale: Scale) -> Table {
 ///
 /// Two claims made measurable: arming the buffer on a crash-free run is
 /// cycle-identical to off (every fence finds an already-drained buffer —
-/// the same twin `BENCH_simspeed.json` pins), and the crash verdict is
+/// the same twin `tests/sim_cycles_pins.rs` pins), and the crash verdict is
 /// decided by the salvage schedule alone, not by the workload.
 pub fn e24_persist_buffer(scale: Scale) -> Table {
     use thynvm_types::{Cycle, MemorySystem as _, PersistBufferConfig, PhysAddr};

@@ -9,8 +9,11 @@
 //!   Figure 12, Table 1, Table 2, plus the §5.3 overlap ablation), each
 //!   scalable so unit tests run in milliseconds and `cargo bench` runs at
 //!   full scale.
-//! * [`simspeed`] — measures the *simulator's own* throughput and maintains
-//!   the `BENCH_simspeed.json` trajectory behind the CI regression gate.
+//!
+//! The simulator's own host cost is measured by the separate `perfbench`
+//! package (`BENCHMARK.json`). The exact `sim_cycles` of seven
+//! raw-controller runs ([`runner::run_raw`]) are pinned by the root
+//! package's `tests/sim_cycles_pins.rs`.
 //!
 //! Run all experiments with:
 //!
@@ -24,8 +27,7 @@
 pub mod experiments;
 pub mod report;
 pub mod runner;
-pub mod simspeed;
 
 pub use experiments::Scale;
-pub use report::{Json, Table};
+pub use report::Table;
 pub use runner::{RunResult, SystemKind};

@@ -109,335 +109,6 @@ pub fn fmt_mb(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / 1e6)
 }
 
-/// A minimal JSON document model with a hand-rolled writer and parser.
-///
-/// The workspace deliberately carries no external JSON dependency; the
-/// `BENCH_*.json` artifacts (machine-readable results the CI regression
-/// gate consumes) need exactly this much JSON and no more. Integers are a
-/// distinct variant so `u64` counters (simulated cycle totals) round-trip
-/// bit-exactly instead of passing through `f64`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An integer, preserved exactly (no `f64` round-trip).
-    Int(u64),
-    /// A finite floating-point number. Non-finite values are serialized as
-    /// `null` — JSON has no NaN/Inf, and silently emitting them would
-    /// produce an unparseable artifact.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; insertion order is preserved so output is deterministic.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up `key` in an object; `None` for other variants.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as an exact `u64`, if it is an integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as an `f64` (integers widen), if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(n) => Some(*n as f64),
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Serializes the document as pretty-printed JSON (2-space indent,
-    /// trailing newline), suitable for committing and diffing.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn render_into(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // `{:?}` is the shortest representation that round-trips;
-                    // it always contains '.' or 'e' so it reparses as Num.
-                    let _ = write!(out, "{n:?}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(depth + 1));
-                    item.render_into(out, depth + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(depth));
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(depth + 1));
-                    let _ = write!(out, "\"{k}\": ");
-                    v.render_into(out, depth + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(depth));
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parses a JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message (with byte offset) on malformed
-    /// input or trailing garbage.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < bytes.len() && bytes[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_str(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_num(bytes, pos),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("expected '{lit}' at byte {}", *pos))
-    }
-}
-
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                float = true;
-                *pos += 1;
-            }
-            _ => break,
-        }
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    if !float {
-        if let Ok(n) = text.parse::<u64>() {
-            return Ok(Json::Int(n));
-        }
-    }
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("malformed number '{text}' at byte {start}"))
-}
-
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut s = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_owned()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(s);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'/') => s.push('/'),
-                    Some(b'n') => s.push('\n'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        s.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                s.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_str(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,74 +168,5 @@ mod tests {
         t.row(&["abcdef".into()]);
         let s = t.render();
         assert!(s.lines().any(|l| l == "------"), "separator spans the one column:\n{s}");
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_structure() {
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str("x/v1".into())),
-            ("count".into(), Json::Int(u64::MAX)),
-            ("ratio".into(), Json::Num(0.15)),
-            ("ok".into(), Json::Bool(true)),
-            ("none".into(), Json::Null),
-            (
-                "items".into(),
-                Json::Arr(vec![Json::Int(1), Json::Num(2.5), Json::Str("a\"b\\c\nd".into())]),
-            ),
-            ("empty_arr".into(), Json::Arr(vec![])),
-            ("empty_obj".into(), Json::Obj(vec![])),
-        ]);
-        let text = doc.render();
-        let back = Json::parse(&text).expect("rendered JSON parses");
-        assert_eq!(back, doc);
-    }
-
-    #[test]
-    fn json_u64_counters_roundtrip_exactly() {
-        // f64 cannot represent all u64 values; the Int variant must.
-        let big = (1u64 << 53) + 1;
-        let doc = Json::Obj(vec![("cycles".into(), Json::Int(big))]);
-        let back = Json::parse(&doc.render()).unwrap();
-        assert_eq!(back.get("cycles").unwrap().as_u64(), Some(big));
-    }
-
-    #[test]
-    fn json_nonfinite_serializes_as_null() {
-        let doc = Json::Arr(vec![Json::Num(f64::NAN), Json::Num(f64::INFINITY)]);
-        let text = doc.render();
-        assert!(!text.contains("NaN") && !text.contains("inf"), "no NaN/Inf leakage: {text}");
-        let back = Json::parse(&text).unwrap();
-        assert_eq!(back, Json::Arr(vec![Json::Null, Json::Null]));
-    }
-
-    #[test]
-    fn json_parse_rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{}extra").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-        assert!(Json::parse("nul").is_err());
-    }
-
-    #[test]
-    fn json_accessors() {
-        let doc = Json::parse(r#"{"a": 3, "b": 1.5, "c": "s", "d": [1]}"#).unwrap();
-        assert_eq!(doc.get("a").unwrap().as_u64(), Some(3));
-        assert_eq!(doc.get("a").unwrap().as_f64(), Some(3.0));
-        assert_eq!(doc.get("b").unwrap().as_f64(), Some(1.5));
-        assert_eq!(doc.get("b").unwrap().as_u64(), None);
-        assert_eq!(doc.get("c").unwrap().as_str(), Some("s"));
-        assert_eq!(doc.get("d").unwrap().as_arr().map(<[Json]>::len), Some(1));
-        assert!(doc.get("missing").is_none());
-    }
-
-    #[test]
-    fn json_parses_negative_and_exponent_numbers() {
-        let doc = Json::parse("[-4, -2.5, 1e3, 2E-2]").unwrap();
-        let arr = doc.as_arr().unwrap();
-        assert_eq!(arr[0].as_f64(), Some(-4.0));
-        assert_eq!(arr[1].as_f64(), Some(-2.5));
-        assert_eq!(arr[2].as_f64(), Some(1000.0));
-        assert_eq!(arr[3].as_f64(), Some(0.02));
     }
 }

@@ -101,11 +101,6 @@ impl MulticorePlatform {
         }
     }
 
-    /// Number of cores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Checkpoint flushes performed (whole-platform stalls).
     pub fn flushes(&self) -> u64 {
         self.flushes
@@ -247,7 +242,7 @@ impl MulticorePlatform {
         };
         self.cores
             .iter()
-            .map(|c| CoreResult { cycles: c.now.max(end.min(c.now)), stats: c.stats.clone() })
+            .map(|c| CoreResult { cycles: end.max(c.now), stats: c.stats.clone() })
             .collect()
     }
 }
@@ -408,6 +403,33 @@ mod tests {
             "shared L3 should absorb the second core's fetches: {}",
             mem.stats.reads
         );
+    }
+
+    #[test]
+    fn run_charges_the_final_drain_to_every_core() {
+        #[derive(Debug, Default)]
+        struct Draining(MemStats, Cycle);
+        impl MemorySystem for Draining {
+            fn access(&mut self, _req: &MemRequest, now: Cycle) -> Cycle {
+                now
+            }
+            fn drain(&mut self, now: Cycle) -> Cycle {
+                self.1 = now + Cycle::new(777);
+                self.1
+            }
+            fn stats(&self) -> &MemStats {
+                &self.0
+            }
+            fn name(&self) -> &'static str {
+                "Draining"
+            }
+        }
+        let mut p = MulticorePlatform::new(SystemConfig::paper().cache, 2);
+        let mut mem = Draining::default();
+        let results = p.run(vec![trace(0, 10), trace(1 << 24, 30)], &mut mem);
+        for (i, r) in results.iter().enumerate() {
+            assert!(r.cycles >= mem.1, "core {i} ends at {:?}, before the drain", r.cycles);
+        }
     }
 
     #[test]

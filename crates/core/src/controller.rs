@@ -1365,8 +1365,8 @@ impl ThyNvm {
         if fault.is_quiet() {
             // Zero rates, nothing armed, nothing stuck: the model cannot
             // produce a fault and its streams are never consulted, so the
-            // consultation is skipped wholesale (counted for the simspeed
-            // harness).
+            // consultation is skipped wholesale (counted for perfbench's
+            // `mem.quiet_read_ratio`).
             self.stats.perf.nvm_quiet_reads += 1;
             return done;
         }
@@ -1495,7 +1495,7 @@ impl ThyNvm {
                 if let Some(ecc) = self.dram_fault.as_mut() {
                     if ecc.is_quiet() {
                         // The SEC-DED model cannot fault: skip the check
-                        // (counted for the simspeed harness).
+                        // (counted in `PerfStats`, like the NVM-side skip).
                         self.stats.perf.dram_quiet_reads += 1;
                     } else {
                         match ecc.observe_read(off, bytes) {

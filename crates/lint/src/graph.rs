@@ -70,15 +70,12 @@ pub struct FnNode {
 pub struct CallGraph {
     /// All nodes.
     pub nodes: Vec<FnNode>,
-    /// `(file, item) → node` lookup.
-    index: BTreeMap<(usize, usize), usize>,
 }
 
 impl CallGraph {
     /// Builds the graph over the indexed workspace.
     pub fn build(files: &[FileIndex]) -> CallGraph {
         let mut nodes = Vec::new();
-        let mut index = BTreeMap::new();
         // name → nodes, per file and workspace-wide.
         let mut by_file: BTreeMap<(usize, String), Vec<usize>> = BTreeMap::new();
         let mut global: BTreeMap<String, Vec<usize>> = BTreeMap::new();
@@ -93,7 +90,6 @@ impl CallGraph {
                 }
                 let n = nodes.len();
                 nodes.push(FnNode { file: fi, item: ii, calls: Vec::new() });
-                index.insert((fi, ii), n);
                 by_file.entry((fi, item.name.clone())).or_default().push(n);
                 global.entry(item.name.clone()).or_default().push(n);
             }
@@ -149,12 +145,7 @@ impl CallGraph {
             node.calls = calls;
         }
 
-        CallGraph { nodes, index }
-    }
-
-    /// The node for `files[file].fns[item]`, if it is in the graph.
-    pub fn node_of(&self, file: usize, item: usize) -> Option<usize> {
-        self.index.get(&(file, item)).copied()
+        CallGraph { nodes }
     }
 
     /// Nodes reachable from `seeds` (inclusive), as a bitmap over node

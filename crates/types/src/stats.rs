@@ -864,7 +864,7 @@ impl MemStats {
 /// armed, nothing stuck or poisoned).
 ///
 /// These counters account for the hot-path flattening itself — they let
-/// the `simspeed` harness and tests verify the fast paths actually fire
+/// perfbench's `mem.quiet_read_ratio` and tests verify the fast paths fire
 /// (a silent fast path that never triggers is dead weight, and one that
 /// fires when the model is armed would corrupt fault schedules). They are
 /// host-performance accounting only; no simulated time or fault decision
