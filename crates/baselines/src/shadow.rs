@@ -9,7 +9,13 @@
 //! every page in the buffer has only a few dirty blocks, yet the flush
 //! writes each *entire 4 KiB page* to NVM — wasting bandwidth and stalling
 //! the application, since the flush is stop-the-world.
+//!
+//! The buffer's bookkeeping is incremental, so neither the per-event
+//! `checkpoint_due` test nor an eviction scans the buffer. The invariant:
+//! `dirty + clean.len() == pages.len()`, and `clean` holds exactly the
+//! buffered pages whose `dirty` flag is false.
 
+use std::collections::BTreeSet;
 
 use thynvm_mem::{Device, DeviceKind, SparseStore};
 use thynvm_types::{
@@ -38,6 +44,10 @@ pub struct ShadowPaging {
     dram: Device,
     nvm: Device,
     pages: FxHashMap<PageIndex, BufferedPage>,
+    /// Number of buffered pages that are dirty.
+    dirty: usize,
+    /// Buffered pages that are clean, in eviction order (lowest first).
+    clean: BTreeSet<PageIndex>,
     free_slots: Vec<u32>,
     epoch_start: Cycle,
     stats: MemStats,
@@ -55,6 +65,8 @@ impl ShadowPaging {
             dram: Device::new(DeviceKind::Dram, cfg.timing, cfg.dram_geometry),
             nvm: Device::new(DeviceKind::Nvm, cfg.timing, cfg.nvm_geometry),
             pages: FxHashMap::default(),
+            dirty: 0,
+            clean: BTreeSet::new(),
             free_slots: (0..slots).rev().collect(),
             epoch_start: Cycle::ZERO,
             stats: MemStats::new(),
@@ -71,7 +83,7 @@ impl ShadowPaging {
 
     /// Number of buffered pages that are dirty.
     pub fn dirty_pages(&self) -> usize {
-        self.pages.values().filter(|p| p.dirty).count()
+        self.dirty
     }
 
     /// The NVM device (row-buffer and wear statistics).
@@ -96,7 +108,6 @@ impl ShadowPaging {
         // busy-times arbitrate. Each page's NVM write waits for its DRAM
         // read.
         let mut t = now;
-        let mut flushed = 0u64;
         let mut dirty: Vec<PageIndex> =
             self.pages.iter().filter(|(_, p)| p.dirty).map(|(&i, _)| i).collect();
         dirty.sort_unstable();
@@ -120,8 +131,9 @@ impl ShadowPaging {
             let write_done = self.nvm.access(dst, AccessKind::Write, PAGE_BYTES as u32, read_done);
             self.stats.record_nvm_write(PAGE_BYTES, NvmWriteClass::Checkpoint);
             t = t.max(write_done);
-            flushed += 1;
+            self.clean.insert(page);
         }
+        self.dirty = 0;
         // Atomic root-pointer switch.
         t = self.nvm.access(HwAddr::new(SHADOW_BASE), AccessKind::Write, 64, t);
         self.stats.record_nvm_write(8, NvmWriteClass::Checkpoint);
@@ -130,7 +142,6 @@ impl ShadowPaging {
         self.stats.ckpt_stall_cycles += t - now; // stop-the-world
         self.stats.epochs_completed += 1;
         self.epoch_start = t;
-        let _ = flushed;
         t
     }
 
@@ -140,19 +151,15 @@ impl ShadowPaging {
         if let Some(p) = self.pages.get(&page) {
             return (p.slot, t);
         }
-        // Need a slot: evict a clean page, or flush if everything is dirty.
+        // Need a slot: evict the lowest clean page, flushing first if
+        // everything is dirty (after which every page is clean).
         if self.free_slots.is_empty() {
-            if let Some(victim) =
-                self.pages.iter().filter(|(_, p)| !p.dirty).map(|(&i, _)| i).min()
-            {
-                let freed = self.pages.remove(&victim).expect("found");
-                self.free_slots.push(freed.slot);
-            } else {
+            if self.clean.is_empty() {
                 t = self.flush(t);
-                let victim = self.pages.keys().copied().min().expect("buffer nonempty");
-                let freed = self.pages.remove(&victim).expect("found");
-                self.free_slots.push(freed.slot);
             }
+            let victim = self.clean.pop_first().expect("buffer nonempty");
+            let freed = self.pages.remove(&victim).expect("buffered");
+            self.free_slots.push(freed.slot);
         }
         let slot = self.free_slots.pop().expect("slot available");
         // Functional copy-on-write: the buffer page starts as the committed
@@ -167,6 +174,7 @@ impl ShadowPaging {
         t = self.dram.access(self.slot_addr(slot), AccessKind::Write, PAGE_BYTES as u32, t);
         self.stats.record_dram_write(PAGE_BYTES);
         self.pages.insert(page, BufferedPage { slot, dirty: false, in_shadow: false });
+        self.clean.insert(page);
         (slot, t)
     }
 }
@@ -183,7 +191,12 @@ impl MemorySystem for ShadowPaging {
                 let addr = self.slot_addr(slot).offset(req.addr.page_offset());
                 t = self.dram.access(addr, AccessKind::Write, req.bytes, t);
                 self.stats.record_dram_write(u64::from(req.bytes));
-                self.pages.get_mut(&page).expect("buffered").dirty = true;
+                let entry = self.pages.get_mut(&page).expect("buffered");
+                if !entry.dirty {
+                    entry.dirty = true;
+                    self.dirty += 1;
+                    self.clean.remove(&page);
+                }
             }
             AccessKind::Read => {
                 self.stats.reads += 1;
@@ -193,9 +206,8 @@ impl MemorySystem for ShadowPaging {
                     self.stats.dram_reads += 1;
                     self.stats.dram_read_bytes += u64::from(req.bytes);
                 } else {
-                    let shadow = false;
                     t = self.nvm.access(
-                        self.nvm_addr(page, shadow).offset(req.addr.page_offset()),
+                        self.nvm_addr(page, false).offset(req.addr.page_offset()),
                         AccessKind::Read,
                         req.bytes,
                         t,
@@ -287,6 +299,8 @@ impl PersistentMemory for ShadowPaging {
     fn power_fail(&mut self, now: Cycle) -> Cycle {
         let slots = u32::try_from(self.cfg.thynvm.dram_pages()).expect("bounded");
         self.pages.clear();
+        self.dirty = 0;
+        self.clean.clear();
         self.buffer_data.clear();
         self.free_slots = (0..slots).rev().collect();
         self.dram.power_cycle();
@@ -402,6 +416,116 @@ mod tests {
         let s = sys();
         assert!(!s.checkpoint_due(Cycle::ZERO));
         assert!(s.checkpoint_due(Cycle::from_ms(1)));
+    }
+
+    fn write_page(s: &mut ShadowPaging, page: u64, t: Cycle) -> Cycle {
+        s.access(&MemRequest::write(PhysAddr::new(page * PAGE_BYTES), 8), t)
+    }
+
+    fn is_buffered(s: &ShadowPaging, page: u64) -> bool {
+        s.pages.contains_key(&PageIndex::new(page))
+    }
+
+    #[test]
+    fn full_buffer_evicts_the_lowest_clean_page() {
+        let mut s = sys(); // 64 slots
+        let mut t = Cycle::ZERO;
+        // Fill every slot in descending order, so insertion order and page
+        // order disagree.
+        for page in (0..64u64).rev() {
+            t = write_page(&mut s, page, t);
+        }
+        t = s.begin_checkpoint(t, &[]);
+        assert_eq!(s.dirty_pages(), 0);
+        // Re-dirty the two lowest pages: eviction must skip them.
+        t = write_page(&mut s, 0, t);
+        t = write_page(&mut s, 1, t);
+        let epochs = s.stats().epochs_completed;
+        t = write_page(&mut s, 100, t);
+        assert!(!is_buffered(&s, 2), "page 2 is the lowest clean page");
+        assert!((0..2).chain(3..64).all(|p| is_buffered(&s, p)));
+        write_page(&mut s, 101, t);
+        assert!(!is_buffered(&s, 3), "page 3 is next");
+        assert!((0..2).chain(4..64).chain(100..102).all(|p| is_buffered(&s, p)));
+        assert_eq!(s.stats().epochs_completed, epochs, "clean evictions never flush");
+        assert_eq!(s.buffered_pages(), 64);
+    }
+
+    #[test]
+    fn all_dirty_backstop_flushes_once_then_evicts_page_zero() {
+        let mut s = sys();
+        let mut t = Cycle::ZERO;
+        for page in (0..64u64).rev() {
+            t = write_page(&mut s, page, t);
+        }
+        assert_eq!(s.dirty_pages(), 64);
+        let epochs = s.stats().epochs_completed;
+        write_page(&mut s, 64, t);
+        assert_eq!(s.stats().epochs_completed, epochs + 1, "exactly one inline flush");
+        assert!(!is_buffered(&s, 0), "page 0 is evicted");
+        assert!((1..65).all(|p| is_buffered(&s, p)));
+        assert_eq!(s.dirty_pages(), 1, "only the new page is dirty");
+    }
+
+    #[test]
+    fn power_fail_empties_the_buffer() {
+        let mut s = sys();
+        let mut t = Cycle::ZERO;
+        for page in 0..10u64 {
+            t = write_page(&mut s, page, t);
+        }
+        t = s.power_fail(t);
+        assert_eq!(s.dirty_pages(), 0);
+        assert_eq!(s.buffered_pages(), 0);
+        assert!(!s.checkpoint_due(t));
+        let epochs = s.stats().epochs_completed;
+        for page in 100..164u64 {
+            t = write_page(&mut s, page, t);
+        }
+        assert_eq!(s.buffered_pages(), 64, "all 64 slots refill");
+        assert_eq!(s.stats().epochs_completed, epochs, "without a flush");
+    }
+
+    /// Checks the incremental bookkeeping against a recount of `pages`.
+    fn assert_bookkeeping_matches_recount(s: &ShadowPaging, step: usize) {
+        let dirty = s.pages.values().filter(|p| p.dirty).count();
+        let clean: BTreeSet<PageIndex> =
+            s.pages.iter().filter(|(_, p)| !p.dirty).map(|(&i, _)| i).collect();
+        assert_eq!(s.dirty, dirty, "step {step}: dirty count");
+        assert_eq!(s.clean, clean, "step {step}: clean set");
+    }
+
+    #[test]
+    fn bookkeeping_matches_a_recount_under_random_operations() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5ead);
+        let mut s = sys();
+        let mut t = Cycle::ZERO;
+        let (mut clean_evictions, mut backstops) = (0, 0);
+        for step in 0..20_000 {
+            let page = rng.gen_range(0..200u64);
+            let addr = PhysAddr::new(page * PAGE_BYTES + rng.gen_range(0..64u64) * 64);
+            let op = rng.gen_range(0..1_000u32);
+            if op < 600 && s.free_slots.is_empty() && !is_buffered(&s, page) {
+                if s.clean.is_empty() {
+                    backstops += 1;
+                } else {
+                    clean_evictions += 1;
+                }
+            }
+            t = match op {
+                0..=599 => s.access(&MemRequest::write(addr, 64), t),
+                600..=993 => s.access(&MemRequest::read(addr, 64), t),
+                994..=995 => s.begin_checkpoint(t, &[addr]),
+                996..=997 => s.persist(t),
+                998 => s.drain(t),
+                _ => s.power_fail(t),
+            };
+            assert_bookkeeping_matches_recount(&s, step);
+        }
+        assert!(clean_evictions > 0 && backstops > 0, "{clean_evictions} / {backstops}");
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! * `health-on` — the health ladder, observing a clean run;
 //! * `wpq-on` — the volatile persist buffer with its §4.4 fences.
 //!
+//! A second table pins two of the paper's baselines (§5.1) on the same
+//! micro-random trace under `SystemConfig::small_test()`: shadow paging,
+//! whose 64-page buffer evicts clean pages constantly and checkpoints
+//! hundreds of times, so its victim order shows in the total; and redo
+//! journaling.
+//!
 //! A performance-only change must leave every pin untouched. A change that
 //! moves simulated time on purpose updates the constant here and says why
 //! in its description. Host cost is measured separately, by `perfbench`.
@@ -32,6 +38,13 @@ const PINS: [(&str, &str, usize, u64); 7] = [
     ("micro-random", "wpq-on", 60_000, 32_473_694),
     ("ycsb-a", "fault-off", 27_952, 4_872_377),
     ("ycsb-a", "fault-on", 27_952, 4_892_090),
+];
+
+/// `(baseline, exact sim_cycles, epochs)` on micro-random, small-test
+/// configuration.
+const BASELINE_PINS: [(SystemKind, u64, u64); 2] = [
+    (SystemKind::Shadow, 105_644_238, 517),
+    (SystemKind::Journal, 26_677_602, 259),
 ];
 
 fn trace(name: &str) -> Vec<TraceEvent> {
@@ -108,4 +121,23 @@ fn sim_cycles_match_the_pins() {
         assert!(on >= off, "arming {twin} cannot make a clean run faster ({on} vs {off})");
         assert!((on - off) * 100 < off, "{twin} overhead must stay under 1% ({on} vs {off})");
     }
+}
+
+#[test]
+fn baseline_sim_cycles_match_the_pins() {
+    let events = trace("micro-random");
+    let mut drift = Vec::new();
+    for (kind, pinned, epochs) in BASELINE_PINS {
+        let r = run_raw(kind, SystemConfig::small_test(), events.iter().copied());
+        let measured = (r.cycles.raw(), r.mem.epochs_completed);
+        if measured != (pinned, epochs) {
+            drift.push(format!(
+                "{}: pinned {pinned} cycles / {epochs} epochs, measured {} / {}",
+                kind.as_str(),
+                measured.0,
+                measured.1
+            ));
+        }
+    }
+    assert!(drift.is_empty(), "simulated time moved:\n  {}", drift.join("\n  "));
 }
