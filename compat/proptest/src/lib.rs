@@ -241,7 +241,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: Range<usize>,

@@ -42,18 +42,23 @@
 //!   persisted twice.
 
 
-use thynvm_mem::{
-    Device, DeviceKind, DramEccModel, EccReadFault, FaultModel, PersistBuffer, SecurityModel,
-    SparseStore, WpqCrashReport, WpqKind, WriteQueue,
-};
+use thynvm_mem::{Device, DeviceKind, SparseStore, WriteQueue};
 use thynvm_types::{
-    AccessKind, BlockIndex, CkptMode, CkptPhase, Cycle, Error, FaultKind, FxHashMap, FxHashSet,
-    HealthRung, HwAddr, MemRequest, MemStats, MemorySystem, NvmWriteClass, PageIndex, PhysAddr,
-    RecoveryOutcome, RecoveryStep, RetryPolicy, SystemConfig, TraceEvent, BLOCK_BYTES, PAGE_BYTES,
+    AccessKind, BlockIndex, CkptMode, CkptPhase, Cycle, Error, FxHashMap, FxHashSet, HealthRung,
+    HwAddr, MemRequest, MemStats, MemorySystem, NvmWriteClass, PageIndex, PhysAddr,
+    RecoveryOutcome, RecoveryStep, SystemConfig, TraceEvent, BLOCK_BYTES, PAGE_BYTES,
 };
 
+// A child of this module, so the seam's hooks reach the controller's
+// private state while the domains' own fields stay private to the seam.
+#[path = "domains.rs"]
+mod domains;
+
+pub use domains::{MediaFault, TamperFault};
+use domains::{Commit, Domains, Poison, Read, Step, Write};
+
 use crate::epoch::{CkptJob, EpochState};
-use crate::health::{HealthMonitor, HealthSignals};
+use crate::health::HealthMonitor;
 use crate::layout::{AddressSpace, Region};
 use crate::table::{bump_counter, Btt, Ptt, WactiveLoc};
 
@@ -65,14 +70,6 @@ const META_ENTRY_BYTES: u64 = 8;
 /// the commit record when integrity protection is enabled.
 const META_CRC_BYTES: u64 = 8;
 
-/// Nanoseconds to compute/verify one 64 B block's CRC (a few XOR/shift
-/// stages in the controller pipeline).
-const CRC_NS_PER_BLOCK: u64 = 2;
-
-/// Words in the checkpoint commit record for torn-write modeling: the
-/// 64 B record is persisted as eight 8-byte device words.
-const COMMIT_RECORD_WORDS: usize = 8;
-
 /// Domain-separation tag for deriving the modeled MAC key from the
 /// security seed (distinct from the tamper-schedule stream).
 const TAG_MAC_KEY: u64 = 0x4d41_434b; // "MACK"
@@ -82,74 +79,6 @@ const TAG_MAC_KEY: u64 = 0x4d41_434b; // "MACK"
 /// An attacker without it cannot produce a forgery that verifies.
 fn mac_key(cfg: &SystemConfig) -> u64 {
     thynvm_types::rng::mix(cfg.security.seed, TAG_MAC_KEY)
-}
-
-/// A latent media fault injected into persisted checkpoint state.
-///
-/// The fault is consulted at the next recovery and applies to whichever
-/// checkpoint is `C_last` then; with no completed checkpoint it stays armed
-/// (there is no persisted state to corrupt yet). Integrity verification
-/// (when [`thynvm_types::MediaFaultConfig::integrity`] is on) detects the
-/// corruption and recovery falls back to `C_penult`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MediaFault {
-    /// The checkpoint's multi-word commit record is torn: only a prefix of
-    /// its words persisted, so its checksum can never verify.
-    TornCommitRecord,
-    /// A single bit of `C_last`'s checkpointed data flipped, failing that
-    /// block's per-64 B CRC.
-    ClastBitFlip {
-        /// Physical address of the corrupted byte.
-        addr: u64,
-    },
-    /// The serialized PTT metadata image in the backup region is corrupted,
-    /// failing its metadata checksum.
-    CorruptPttMetadata,
-}
-
-impl MediaFault {
-    /// The fault class recovery records when it finds this fault.
-    fn kind(self) -> FaultKind {
-        match self {
-            MediaFault::TornCommitRecord => FaultKind::TornWrite,
-            MediaFault::ClastBitFlip { .. } => FaultKind::BitFlip,
-            MediaFault::CorruptPttMetadata => FaultKind::Metadata,
-        }
-    }
-}
-
-/// An adversarial tamper injected into persisted secure-mode state.
-///
-/// Unlike [`MediaFault`] (accidental corruption, modeled as latent flags),
-/// a tamper *really mutates* the persisted bytes or the security-metadata
-/// model out-of-band, the way an attacker with physical NVM access would.
-/// The next recovery's MAC / integrity-tree verification must therefore
-/// detect it by recomputation, not by consulting a flag. Armed via
-/// [`ThyNvm::inject_tamper`]; applied at the next crash once a completed
-/// checkpoint exists (until then it stays armed — there is nothing
-/// authenticated to forge yet).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TamperFault {
-    /// A byte of `C_last`'s committed data is overwritten in place: a
-    /// content forgery that the checkpoint MAC rejects.
-    ClastData {
-        /// Physical address of the forged byte.
-        addr: u64,
-    },
-    /// The persisted encryption-counter table is rolled back to a stale
-    /// generation (a counter-replay attack); the integrity-tree root no
-    /// longer authenticates it.
-    StaleCounterTable,
-    /// The security-metadata root record is torn — power was lost while it
-    /// streamed to NVM, so it never authenticates.
-    TornRootMeta,
-    /// Bytes of *both* checkpoint images are forged: no authenticated
-    /// state survives, and recovery must refuse to replay either image
-    /// ([`Error::IntegrityUnrecoverable`]) rather than serve forged data.
-    BothImages {
-        /// Physical address of the forged byte (in each image).
-        addr: u64,
-    },
 }
 
 /// Result of a crash recovery (§4.5).
@@ -246,47 +175,6 @@ pub struct InjectedCrash {
 #[derive(Debug, Clone, Copy)]
 struct PendingPage {
     target: Region,
-}
-
-/// What one NVM write carries. Every device write names its kind and goes
-/// through [`ThyNvm::nvm_write`], whose single `match` derives the rest:
-/// the traffic class and recorded bytes, CRC work, wear and encryption,
-/// and whether (and as what) the write enters the persist buffer. The
-/// table is spelled out in DESIGN.md §4.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NvmWrite {
-    /// A CPU store or checkpoint-time cache flush serviced in NVM by block
-    /// remapping: wear and encryption, persist buffer, no CRC.
-    Store { bytes: u64, class: NvmWriteClass },
-    /// The Working Data Region placed in NVM (§4.1 footnote 3): CPU
-    /// traffic with no fault-domain hooks.
-    Working { bytes: u64 },
-    /// A checkpoint writeback of a buffered block or dirty page: wear,
-    /// encryption, per-64 B CRCs and the persist buffer.
-    Writeback { bytes: u64 },
-    /// A scheme-switch or reclaim copy (demotion, reclaim, quarantine
-    /// copy-home): wear and encryption only.
-    Migration { bytes: u64 },
-    /// A bad-block remap's 64 B payload: a migration write that also
-    /// enters the persist buffer.
-    RemapPayload,
-    /// A 64 B CRC-sealed write-ahead-log record through the persist buffer.
-    Wal,
-    /// A WAL record written around the persist buffer (recovery-side
-    /// fallbacks, the rung-override seal).
-    WalUnbuffered,
-    /// A BTT/PTT image or the health record: CRC over the recorded bytes,
-    /// at least one 64 B device burst.
-    Metadata { bytes: u64 },
-    /// Dirty encryption counters or integrity-tree nodes: no CRC, no
-    /// encryption, at least one 64 B device burst.
-    SecurityTable { bytes: u64 },
-    /// The 64 B security root + MAC record: encrypted, no CRC.
-    SecurityRoot,
-    /// The checkpoint commit record: a checksummed 64 B write recorded as
-    /// the 1 B completion flag, pushed as the persist buffer's commit
-    /// marker.
-    CommitRecord,
 }
 
 /// One durable checkpoint version (§4.5): the committed image together
@@ -418,13 +306,6 @@ pub struct ThyNvm {
     /// Record of the most recent injected crash, until taken.
     injected_crash: Option<InjectedCrash>,
 
-    // ---- media faults & self-healing ----
-    /// The NVM media-fault model, when `cfg.media.enabled`.
-    fault: Option<FaultModel>,
-    /// Persistent bad-block table: device block base → spare slot. Blocks
-    /// listed here have been permanently remapped away from worn-out cells;
-    /// the table survives crashes (it is persisted NVM metadata).
-    bad_blocks: FxHashMap<u64, u64>,
     /// Retired scheme-switch snapshot, recycled into the next epoch's
     /// `pending_switch_counts` so the per-epoch snapshot reuses one
     /// allocation instead of growing a fresh map from empty every time.
@@ -432,51 +313,11 @@ pub struct ThyNvm {
     /// Reused victim buffer for [`Self::reclaim_quiescent`], so the
     /// overflow path does not allocate on every table-pressure event.
     reclaim_scratch: Vec<BlockIndex>,
-    /// Next spare block slot to hand out.
-    next_spare_slot: u64,
-    /// A corruption detected on the current read but *not* healed (no
-    /// integrity checking): `(physical byte, XOR mask)` to apply to the
-    /// delivered buffer.
-    pending_corruption: Option<(u64, u8)>,
-    /// Injected latent faults in the next recovery's `C_last`, at most one
-    /// per [`MediaFault`] kind. Recovery peeks them at verification and
-    /// consumes them all once a fallback makes `C_last` unreachable.
-    injected_media: Vec<MediaFault>,
-    /// Sequence number of the next write-ahead-log record in the backup
-    /// region (bad-block remaps, recovery-side integrity fallbacks).
-    wal_seq: u64,
 
-    // ---- DRAM fault domain (ECC, poison, quarantine) ----
-    /// The DRAM SEC-DED ECC model, when `cfg.dram_fault.enabled`.
-    dram_fault: Option<DramEccModel>,
-    /// Quarantine events not yet drained by the harness: `(physical base,
-    /// length)` ranges whose dirty data was dropped and rolled back to the
-    /// last checkpoint because of uncorrectable DRAM errors.
-    quarantine_events: Vec<(u64, u64)>,
-
-    // ---- secure persistent memory mode ----
-    /// The counter-mode encryption / integrity-tree model, when
-    /// `cfg.security.enabled`.
-    security: Option<SecurityModel>,
-    /// Armed tamper, applied at the next crash once a completed checkpoint
-    /// exists to forge.
-    injected_tamper: Option<TamperFault>,
-
-    // ---- volatile persist buffer (WPQ fault domain) ----
-    /// The content-carrying persist buffer, when `cfg.wpq.enabled`. Writes
-    /// pass through it before durability; `wpq_fence` is the §4.4 ordering
-    /// primitive, and a crash partially flushes a seeded per-bank prefix.
-    pbuf: Option<PersistBuffer>,
-    /// The most recent crash's partial-flush report, for harnesses that
-    /// must know whether the commit marker was salvaged.
-    last_wpq_flush: Option<WpqCrashReport>,
-    /// Test hook: skip the next `wpq_fence`, so the ordering audit (and
-    /// lint rule L10's runtime counterpart) can be exercised.
-    wpq_skip_next_fence: bool,
-
-    // ---- graceful-degradation health ladder ----
-    /// The hysteresis-driven degradation ladder, when `cfg.health.enabled`.
-    health_mon: Option<HealthMonitor>,
+    /// The five fault domains (media, DRAM ECC, secure memory, persist
+    /// buffer, health ladder), reached only through the hooks in
+    /// `domains.rs`.
+    domains: Domains,
 }
 
 impl ThyNvm {
@@ -513,25 +354,9 @@ impl ThyNvm {
             job_duration_hist: thynvm_types::Histogram::new(),
             crash_points: Vec::new(),
             injected_crash: None,
-            fault: cfg
-                .media
-                .enabled
-                .then(|| FaultModel::new(&cfg.media, cfg.nvm_geometry.row_bytes)),
-            bad_blocks: FxHashMap::default(),
             switch_scratch: FxHashMap::default(),
             reclaim_scratch: Vec::new(),
-            next_spare_slot: 0,
-            pending_corruption: None,
-            injected_media: Vec::new(),
-            wal_seq: 0,
-            dram_fault: cfg.dram_fault.enabled.then(|| DramEccModel::new(&cfg.dram_fault)),
-            quarantine_events: Vec::new(),
-            security: cfg.security.enabled.then(|| SecurityModel::new(&cfg.security)),
-            injected_tamper: None,
-            pbuf: cfg.wpq.enabled.then(|| PersistBuffer::new(cfg.wpq, cfg.nvm_geometry)),
-            last_wpq_flush: None,
-            wpq_skip_next_fence: false,
-            health_mon: cfg.health.enabled.then(|| HealthMonitor::new(cfg.health)),
+            domains: Domains::new(&cfg),
             cfg,
         }
     }
@@ -706,26 +531,8 @@ impl ThyNvm {
     }
 
     // ------------------------------------------------------------------
-    // Media faults & self-healing
+    // Fault-domain errors (the models live in `domains`)
     // ------------------------------------------------------------------
-
-    /// The media-fault model, when `cfg.media.enabled` (inspection).
-    pub fn fault_model(&self) -> Option<&FaultModel> {
-        self.fault.as_ref()
-    }
-
-    /// Mutable access to the media-fault model, e.g. to arm guaranteed
-    /// transient flips ([`FaultModel::arm_transient_flips`]) in tests and
-    /// demos.
-    pub fn fault_model_mut(&mut self) -> Option<&mut FaultModel> {
-        self.fault.as_mut()
-    }
-
-    /// Number of blocks permanently remapped to spare locations via the
-    /// bad-block table.
-    pub fn bad_block_remaps(&self) -> usize {
-        self.bad_blocks.len()
-    }
 
     /// Takes the most recent unrecoverable-read error (a location whose
     /// bounded retries all failed before the block was remapped), if any.
@@ -740,6 +547,35 @@ impl ThyNvm {
     /// that the table was undersized for the workload.
     pub fn take_overflow_error(&mut self) -> Option<Error> {
         self.errors[ErrorSlot::Overflow as usize].take()
+    }
+
+    /// Takes the most recent both-images authentication failure
+    /// ([`Error::IntegrityUnrecoverable`]): recovery found no checkpoint
+    /// image that verifies and reset to the empty image rather than replay
+    /// forged data.
+    pub fn take_security_error(&mut self) -> Option<Error> {
+        self.errors[ErrorSlot::Security as usize].take()
+    }
+
+    /// Takes the most recent §4.4 ordering violation: a commit record was
+    /// persisted while the persist buffer still held data entries, so a
+    /// crash could have made the commit durable before the data it commits.
+    pub fn take_ordering_error(&mut self) -> Option<Error> {
+        self.errors[ErrorSlot::Ordering as usize].take()
+    }
+
+    /// Takes the most recent DRAM poison-loss error — an uncorrectable
+    /// error under *dirty* data, whose range was quarantined and rolled
+    /// back to the last checkpoint — if one occurred since the last call.
+    pub fn take_poison_error(&mut self) -> Option<Error> {
+        self.errors[ErrorSlot::Poison as usize].take()
+    }
+
+    /// Takes the most recent degraded-store rejection
+    /// ([`Error::Degraded`]) — a store refused because the ladder sits at
+    /// `ReadOnly` or worse — if one occurred since the last call.
+    pub fn take_health_error(&mut self) -> Option<Error> {
+        self.errors[ErrorSlot::Health as usize].take()
     }
 
     /// Keeps `err` as its domain's most recent error, replacing an untaken
@@ -760,206 +596,10 @@ impl ThyNvm {
         self.errors[slot as usize] = Some(err);
     }
 
-    /// Arms a latent media fault in persisted checkpoint state. Consulted
-    /// at the next recovery: whichever checkpoint is `C_last` then fails
-    /// its integrity verification and recovery falls back to `C_penult`.
-    /// With no completed checkpoint at recovery time the fault stays armed.
-    pub fn inject_media_fault(&mut self, fault: MediaFault) {
-        // Re-arming a kind replaces the armed fault of that kind.
-        self.injected_media.retain(|f| std::mem::discriminant(f) != std::mem::discriminant(&fault));
-        self.injected_media.push(fault);
-    }
-
-    // ------------------------------------------------------------------
-    // Secure persistent memory mode (counter-mode encryption, MAC tree)
-    // ------------------------------------------------------------------
-
-    /// The secure-mode model (encryption counters, integrity tree), when
-    /// `cfg.security.enabled` (inspection).
-    pub fn security_model(&self) -> Option<&SecurityModel> {
-        self.security.as_ref()
-    }
-
-    /// Arms an adversarial tamper in persisted secure-mode state. Applied
-    /// at the next crash once a completed checkpoint exists (nothing
-    /// authenticated to forge before then — it stays armed); recovery's
-    /// MAC / integrity-tree verification then detects it by recomputation
-    /// and classifies it. Ignored when secure mode is off — without MACs
-    /// nothing *models* the attacker's physical access, and the harness
-    /// asserts detection, so arming would be a silent no-op lie.
-    pub fn inject_tamper(&mut self, fault: TamperFault) {
-        if self.security.is_some() {
-            self.injected_tamper = Some(fault);
-        }
-    }
-
-    /// The tamper armed but not yet applied, if any.
-    pub fn armed_tamper(&self) -> Option<TamperFault> {
-        self.injected_tamper
-    }
-
-    /// Takes the most recent both-images authentication failure
-    /// ([`Error::IntegrityUnrecoverable`]): recovery found no checkpoint
-    /// image that verifies and reset to the empty image rather than replay
-    /// forged data.
-    pub fn take_security_error(&mut self) -> Option<Error> {
-        self.errors[ErrorSlot::Security as usize].take()
-    }
-
     /// MAC over the committed `C_last` image under the modeled key — what
     /// the next recovery's verification recomputes and compares.
     pub fn clast_mac(&self) -> u64 {
         self.last.mac
-    }
-
-    // ------------------------------------------------------------------
-    // Volatile persist buffer (WPQ fault domain)
-    // ------------------------------------------------------------------
-
-    /// The persist buffer, when `cfg.wpq.enabled` (inspection).
-    pub fn persist_buffer(&self) -> Option<&PersistBuffer> {
-        self.pbuf.as_ref()
-    }
-
-    /// The most recent crash's partial-flush report — in particular
-    /// whether the in-flight commit marker was salvaged (early commit).
-    pub fn last_wpq_flush(&self) -> Option<WpqCrashReport> {
-        self.last_wpq_flush
-    }
-
-    /// Takes the most recent §4.4 ordering violation: a commit record was
-    /// persisted while the persist buffer still held data entries, so a
-    /// crash could have made the commit durable before the data it commits.
-    pub fn take_ordering_error(&mut self) -> Option<Error> {
-        self.errors[ErrorSlot::Ordering as usize].take()
-    }
-
-    /// Test hook: suppress every [`Self::wpq_fence`] until the next
-    /// commit-record push, so the ordering audit (the runtime counterpart
-    /// of lint rule L10) can be exercised without editing the checkpoint
-    /// path. Cleared by the next commit-record write ([`Self::nvm_write`])
-    /// once the audit has run.
-    pub fn skip_next_fence(&mut self) {
-        self.wpq_skip_next_fence = true;
-    }
-
-    /// §4.4 ordering fence: stalls until the persist buffer has drained,
-    /// so everything enqueued afterwards retires no earlier than what came
-    /// before. A no-op returning `now` when the buffer is off — the
-    /// WPQ-off timeline is bit-identical to a build without the feature.
-    fn wpq_fence(&mut self, now: Cycle) -> Cycle {
-        if self.pbuf.is_some() && self.wpq_skip_next_fence {
-            return now;
-        }
-        match self.pbuf.as_mut() {
-            Some(p) => {
-                let done = p.fence(now);
-                self.stats.wpq = *p.stats();
-                done
-            }
-            None => now,
-        }
-    }
-
-    /// The one NVM write primitive: issues the device write of `kind` at
-    /// `hw` and applies every fault-domain hook the kind calls for — the
-    /// traffic class and recorded bytes, CRC work, wear and encryption,
-    /// and the persist-buffer entry. A commit record is pushed as the
-    /// buffer's commit marker, auditing §4.4 on the way: data entries
-    /// still held at that point mean the mandatory fence was skipped, and
-    /// the violation is kept for `take_ordering_error`. Returns the cycle
-    /// the write lands and the cycle the issuer may proceed (later than
-    /// `issue` when the persist buffer was full and back-pressured).
-    fn nvm_write(&mut self, hw: HwAddr, kind: NvmWrite, issue: Cycle) -> (Cycle, Cycle) {
-        use NvmWriteClass::{Checkpoint, Cpu, Migration};
-        use WpqKind::{CommitMarker, Data};
-        // (device bytes, recorded bytes, class, CRC bytes, wear, encrypted
-        // bytes, persist-buffer entry). Metadata images occupy at least one
-        // 64 B burst on the device.
-        let (device, recorded, class, crc, wear, encrypt, wpq) = match kind {
-            NvmWrite::Store { bytes, class } => (bytes, bytes, class, 0, true, bytes, Some(Data)),
-            NvmWrite::Working { bytes } => (bytes, bytes, Cpu, 0, false, 0, None),
-            NvmWrite::Writeback { bytes } => (bytes, bytes, Checkpoint, bytes, true, bytes, Some(Data)),
-            NvmWrite::Migration { bytes } => (bytes, bytes, Migration, 0, true, bytes, None),
-            NvmWrite::RemapPayload => (64, 64, Migration, 0, true, 64, Some(Data)),
-            NvmWrite::Wal => (64, 64, Migration, 64, false, 0, Some(Data)),
-            NvmWrite::WalUnbuffered => (64, 64, Migration, 64, false, 0, None),
-            NvmWrite::Metadata { bytes } => (bytes.max(64), bytes, Checkpoint, bytes, false, 0, Some(Data)),
-            NvmWrite::SecurityTable { bytes } => (bytes.max(64), bytes, Checkpoint, 0, false, 0, Some(Data)),
-            NvmWrite::SecurityRoot => (64, 64, Checkpoint, 0, false, 64, Some(Data)),
-            NvmWrite::CommitRecord => (64, 1, Checkpoint, 64, false, 0, Some(CommitMarker)),
-        };
-        let device = u32::try_from(device).unwrap_or(u32::MAX);
-        let done = self.nvm.access(hw, AccessKind::Write, device, issue);
-        self.stats.record_nvm_write(recorded, class);
-        self.charge_crc(crc);
-        if wear {
-            // Wear: a write pushing its row across the stuck-at threshold
-            // leaves a permanently bad cell for the read path and scrubber.
-            if let Some(fault) = self.fault.as_mut() {
-                if fault.record_write(hw, device).is_some() {
-                    self.stats.media.record_fault(FaultKind::StuckAt);
-                }
-            }
-            // Encryption: every touched 64 B block is re-encrypted under a
-            // bumped write counter (counter reuse would break CTR-mode
-            // confidentiality), dirtying the table the next epoch boundary
-            // must persist.
-            if let Some(sec) = self.security.as_mut() {
-                let end = hw.raw() + u64::from(device);
-                let mut b = hw.raw() & !(BLOCK_BYTES - 1);
-                while b < end {
-                    sec.note_block_write(b);
-                    b += BLOCK_BYTES;
-                }
-            }
-        }
-        if self.security.is_some() {
-            self.stats.security.charge_crypto(&self.cfg.security, encrypt, true);
-        }
-        if wpq == Some(CommitMarker) {
-            self.wpq_skip_next_fence = false;
-            // Audit on *held* entries, not retire times: a correct round
-            // fences (empties the buffer) immediately before the marker,
-            // so anything still held here means the fence was skipped.
-            let pending = self.pbuf.as_ref().map_or(0, |p| p.held_data());
-            if pending > 0 {
-                self.report(Error::UnfencedCommit { addr: PhysAddr::new(hw.raw()), pending });
-            }
-        }
-        let resume = match (wpq, self.pbuf.as_mut()) {
-            // Timing-only entry: content plumbing lives in the buffer's own
-            // unit tests and sink.
-            (Some(entry), Some(p)) => {
-                let resume = p.push(hw, &[], issue, done, entry);
-                self.stats.wpq = *p.stats();
-                resume
-            }
-            _ => issue,
-        };
-        (done, resume)
-    }
-
-    /// The plain NVM read primitive: one device read of `bytes` at `hw`,
-    /// counted in the read ledger. Callers layer integrity checks on top.
-    fn nvm_read(&mut self, hw: HwAddr, bytes: u32, now: Cycle) -> Cycle {
-        self.stats.nvm_reads += 1;
-        self.stats.nvm_read_bytes += u64::from(bytes);
-        self.nvm.access(hw, AccessKind::Read, bytes, now)
-    }
-
-    // ------------------------------------------------------------------
-    // Graceful-degradation health ladder
-    // ------------------------------------------------------------------
-
-    /// The current health-ladder rung (`Healthy` when the ladder is off).
-    pub fn health_rung(&self) -> HealthRung {
-        self.health_mon.as_ref().map_or(HealthRung::Healthy, HealthMonitor::rung)
-    }
-
-    /// The health monitor, when `cfg.health.enabled` (inspection).
-    pub fn health_monitor(&self) -> Option<&HealthMonitor> {
-        self.health_mon.as_ref()
     }
 
     /// The rung persisted with `C_last`'s commit record — what recovery
@@ -990,466 +630,33 @@ impl ThyNvm {
             + self.archive.iter().map(|(_, s)| s.allocated_pages()).sum::<usize>()
     }
 
-    /// Takes the most recent degraded-store rejection
-    /// ([`Error::Degraded`]) — a store refused because the ladder sits at
-    /// `ReadOnly` or worse — if one occurred since the last call.
-    pub fn take_health_error(&mut self) -> Option<Error> {
-        self.errors[ErrorSlot::Health as usize].take()
-    }
-
-    /// The bounded-retry policy governing media CRC retries — NVM data
-    /// reads and recovery-side reads share it. Its
-    /// [`RetryPolicy::total_backoff`] bounds the worst-case added latency of
-    /// any single read, even with the spare pool drained.
-    pub fn media_retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::new(self.cfg.media.max_read_retries, self.cfg.media.retry_backoff_ns)
-    }
-
-    /// The bounded-retry policy governing DRAM ECC refetches.
-    pub fn dram_retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::new(
-            self.cfg.dram_fault.max_refetch_retries,
-            self.cfg.dram_fault.refetch_backoff_ns,
-        )
-    }
-
-    /// Samples the observable health signals from state the controller
-    /// already maintains (no device traffic, no cycles charged).
-    fn health_signals(&self) -> HealthSignals {
-        let scrub_backlog = self.fault.as_ref().map_or(0, |f| {
-            f.stuck_cells()
-                .filter(|(addr, _)| !self.bad_blocks.contains_key(&(addr & !(BLOCK_BYTES - 1))))
-                .count() as u64
-        });
-        HealthSignals {
-            spares_used: self.next_spare_slot,
-            spares_total: self.cfg.media.spare_blocks,
-            retries_total: self.stats.media.retries,
-            refetches_total: self.stats.dram.refetch_retries + self.stats.dram.corrected_flips,
-            spare_exhausted_total: self.stats.media.spare_exhausted,
-            wal_redos_total: self.stats.media.wal_redos,
-            scrub_backlog,
-            outstanding_poison: self.dram_fault.as_ref().map_or(0, |e| e.outstanding() as u64),
-            tampers_detected_total: self.stats.security.tampers_detected,
-        }
-    }
-
-    /// One ladder evaluation at an epoch boundary (job retirement). A no-op
-    /// with the ladder off, so disabled runs stay bit-identical.
-    fn health_evaluate(&mut self) {
-        if self.health_mon.is_none() {
-            return;
-        }
-        let signals = self.health_signals();
-        let mon = self.health_mon.as_mut().expect("invariant: is_none() checked above");
-        mon.observe_epoch(&signals, &mut self.stats.health);
-    }
-
-    /// Rejects a store when the ladder rung forbids mutation (`ReadOnly`
-    /// or `FailSafe`), recording the rejection for inspection.
-    fn degraded_store_rejection(&mut self) -> Option<Error> {
-        let rung = self.health_mon.as_ref()?.rung();
-        if rung < HealthRung::ReadOnly {
-            return None;
-        }
-        self.stats.health.stores_rejected += 1;
-        let err = Error::Degraded { rung };
-        self.report(err.clone());
-        Some(err)
-    }
-
     /// Whether the Wounded posture's emergency-early epoch timer has
     /// expired: at `Wounded` or worse the epoch length divides by
     /// `cfg.health.emergency_divisor` so less work is at risk per crash.
     fn emergency_epoch_due(&self, now: Cycle) -> bool {
-        let Some(mon) = self.health_mon.as_ref() else {
-            return false;
-        };
-        if mon.rung() < HealthRung::Wounded {
-            return false;
-        }
-        let shortened =
-            Cycle::new(self.cfg.thynvm.epoch_max().raw() / u64::from(self.cfg.health.emergency_divisor));
-        self.epoch.due(now, shortened)
+        let shortened = || Cycle::new(self.cfg.thynvm.epoch_max().raw() / u64::from(self.cfg.health.emergency_divisor));
+        self.health_rung() >= HealthRung::Wounded && self.epoch.due(now, shortened())
     }
 
     // ------------------------------------------------------------------
-    // DRAM fault domain (ECC, poison containment, quarantine)
+    // NVM reads and the Working Data Region (placement per §4.1 fn. 3)
     // ------------------------------------------------------------------
 
-    /// The DRAM SEC-DED ECC model, when `cfg.dram_fault.enabled`
-    /// (inspection).
-    pub fn dram_ecc(&self) -> Option<&DramEccModel> {
-        self.dram_fault.as_ref()
+    /// The plain NVM read primitive: one device read of `bytes` at `hw`,
+    /// counted in the read ledger, with no fault-domain hook.
+    fn nvm_read(&mut self, hw: HwAddr, bytes: u32, now: Cycle) -> Cycle {
+        self.stats.nvm_reads += 1;
+        self.stats.nvm_read_bytes += u64::from(bytes);
+        self.nvm.access(hw, AccessKind::Read, bytes, now)
     }
 
-    /// Mutable access to the DRAM ECC model, e.g. to arm guaranteed
-    /// corrected flips ([`DramEccModel::arm_corrected_flips`]) or poison
-    /// ([`DramEccModel::arm_poison`]) in tests and demos.
-    pub fn dram_ecc_mut(&mut self) -> Option<&mut DramEccModel> {
-        self.dram_fault.as_mut()
-    }
-
-    /// Takes the most recent DRAM poison-loss error — an uncorrectable
-    /// error under *dirty* data, whose range was quarantined and rolled
-    /// back to the last checkpoint — if one occurred since the last call.
-    pub fn take_poison_error(&mut self) -> Option<Error> {
-        self.errors[ErrorSlot::Poison as usize].take()
-    }
-
-    /// Drains the quarantine events recorded since the last call: the
-    /// `(physical base, length)` ranges whose dirty data was dropped and
-    /// rolled back to the last checkpoint. Harnesses feed these to
-    /// [`crate::PersistenceOracle::record_quarantine`] so the §4.5
-    /// prediction tracks what the controller actually kept.
-    pub fn take_quarantine_events(&mut self) -> Vec<(u64, u64)> {
-        std::mem::take(&mut self.quarantine_events)
-    }
-
-    /// Poisoned 64 B working-region blocks intersecting `[off, off+len)`,
-    /// or empty when the ECC model is off or the working region is not
-    /// DRAM (NVM placement carries the media model's protection instead).
-    fn dram_poisoned_in(&self, off: u64, len: u64) -> Vec<u64> {
-        if self.cfg.thynvm.working_region != thynvm_types::WorkingRegion::Dram {
-            return Vec::new();
-        }
-        self.dram_fault.as_ref().map_or_else(Vec::new, |e| e.poisoned_in(off, len))
-    }
-
-    /// Whether `[off, off+len)` of the working region is free of DRAM
-    /// poison — the allocation-free form of [`Self::dram_poisoned_in`] for
-    /// the per-access load path, where the answer is almost always "yes".
-    fn dram_poison_free(&self, off: u64, len: u64) -> bool {
-        if self.cfg.thynvm.working_region != thynvm_types::WorkingRegion::Dram {
-            return true;
-        }
-        self.dram_fault.as_ref().is_none_or(|e| e.first_poisoned_in(off, len).is_none())
-    }
-
-    /// Functional side of a quarantine: the software-visible bytes of
-    /// `[base, base + len)` roll back to the last captured checkpoint
-    /// (committed contents plus any captured-but-not-yet-retired writes),
-    /// and the active epoch's write log drops the portions falling inside
-    /// the range — the poisoned dirty data must not survive anywhere.
-    // lint: recovery-path
-    fn quarantine_rollback(&mut self, base: u64, len: u64) {
-        let end = base + len;
-        // Drop (or split) working-log entries overlapping the range.
-        let entries = std::mem::take(&mut self.working_log);
-        for (addr, data) in entries {
-            let a_end = addr + data.len() as u64;
-            if a_end <= base || addr >= end {
-                self.working_log.push((addr, data));
-                continue;
-            }
-            if addr < base {
-                self.working_log.push((addr, data[..(base - addr) as usize].to_vec()));
-            }
-            if a_end > end {
-                self.working_log.push((end, data[(end - addr) as usize..].to_vec()));
-            }
-        }
-        // Rebuild the range from the last checkpoint plus captured writes.
-        let mut img = vec![0u8; len as usize];
-        self.last.image.read(thynvm_types::HwAddr::new(base), &mut img);
-        for (addr, data) in &self.ckpting_log {
-            let a_end = *addr + data.len() as u64;
-            if a_end <= base || *addr >= end {
-                continue;
-            }
-            let from = base.max(*addr);
-            let to = end.min(a_end);
-            img[(from - base) as usize..(to - base) as usize]
-                .copy_from_slice(&data[(from - addr) as usize..(to - addr) as usize]);
-        }
-        self.visible.write(thynvm_types::HwAddr::new(base), &img);
-        self.quarantine_events.push((base, len));
-    }
-
-    /// Quarantines a poisoned *dirty* PTT page: its dirty data is dropped
-    /// (the poison must never reach NVM and become durable corruption),
-    /// the software-visible range rolls back to the last checkpoint, and
-    /// the page leaves the page-writeback scheme — it re-enters through
-    /// the ordinary §3.3 promotion counters if it stays hot. When the
-    /// page's `C_last` lives in a checkpoint region it is copied home
-    /// NVM-to-NVM so reads keep resolving after the PTT entry is freed;
-    /// the poisoned DRAM copy is never the source. Returns the cycle the
-    /// copy-home lands.
-    // lint: recovery-path
-    fn quarantine_page(&mut self, page: PageIndex, now: Cycle) -> Cycle {
-        let Some(entry) = self.ptt.remove(page) else { return now };
-        let off = self.space.working_offset(self.space.working_page(entry.slot));
-        let mut done = now;
-        if let Some(region) = entry.clast_region {
-            let src = self.space.checkpoint_page(region, page);
-            done = self.nvm_read(src, PAGE_BYTES as u32, done);
-            let dst = self.remapped(self.space.home(page.base_addr()));
-            (done, _) = self.nvm_write(dst, NvmWrite::Migration { bytes: PAGE_BYTES }, done);
-        }
-        // With no checkpointed copy the Home Region still holds the page's
-        // pre-promotion bytes — nothing durable ever left it — so no copy
-        // is needed.
-        let poisoned = self.dram_poisoned_in(off, PAGE_BYTES);
-        if let Some(ecc) = self.dram_fault.as_mut() {
-            for b in &poisoned {
-                ecc.clear_block(*b);
-            }
-        }
-        self.stats.dram.poison_dropped += poisoned.len() as u64;
-        self.quarantine_rollback(page.base_addr().raw(), PAGE_BYTES);
-        self.stats.dram.quarantined_pages += 1;
-        self.stats.dram.quarantine_dropped_bytes += PAGE_BYTES;
-        self.stats.pages_demoted += 1;
-        self.report(Error::DramPoisonLost { addr: page.base_addr(), bytes: PAGE_BYTES });
+    /// The one NVM data read, on the load and recovery paths alike: the
+    /// fault domains resolve the bad-block remap, decrypt, check CRCs,
+    /// retry and heal ([`Self::on_read`]; `read` names the path).
+    fn data_read(&mut self, hw: HwAddr, bytes: u32, now: Cycle, read: Read<'_>) -> Cycle {
+        let (Ok(done) | Err(done)) = self.on_read(hw, bytes, now, read);
         done
     }
-
-    /// Quarantines a poisoned DRAM-buffered block working copy (block
-    /// remapping's cooperation/overlap buffer): the block's dirty data is
-    /// dropped and its visible bytes roll back to the last checkpoint; the
-    /// BTT entry keeps only its checkpointed versions. `off` is the
-    /// block-aligned working-region offset of the buffer slot.
-    // lint: recovery-path
-    fn quarantine_buffered_block(&mut self, block: BlockIndex, off: u64, now: Cycle) -> Cycle {
-        let poisoned = self.dram_poisoned_in(off, BLOCK_BYTES);
-        if let Some(ecc) = self.dram_fault.as_mut() {
-            for b in &poisoned {
-                ecc.clear_block(*b);
-            }
-        }
-        self.stats.dram.poison_dropped += poisoned.len() as u64;
-        let state = self.btt.get_mut(block).map(|e| {
-            e.wactive = None;
-            (e.pending.is_none(), e.clast_region.is_none())
-        });
-        match state {
-            // Nothing checkpointed either: the entry is empty, drop it.
-            Some((true, true)) => {
-                self.btt.remove(block);
-            }
-            // Only checkpointed copies remain: the entry just went
-            // quiescent, so hint it for victim selection.
-            Some((true, false)) => self.btt.note_quiescent(block),
-            _ => {}
-        }
-        self.quarantine_rollback(block.base_addr().raw(), BLOCK_BYTES);
-        self.stats.dram.quarantine_dropped_bytes += BLOCK_BYTES;
-        self.report(Error::DramPoisonLost { addr: block.base_addr(), bytes: BLOCK_BYTES });
-        now
-    }
-
-    /// Heals a poisoned-but-recoverable DRAM block: bounded DRAM re-reads
-    /// (each still fails — the stored bits themselves are corrupt), then
-    /// one NVM read of the checkpointed copy at `src` and a DRAM rewrite.
-    /// The caller guarantees the DRAM block is clean, i.e. `src` holds its
-    /// exact bytes, so the visible image is untouched. Returns the cycle
-    /// the healing DRAM write lands.
-    // lint: recovery-path
-    fn dram_refetch_block(&mut self, block: BlockIndex, off: u64, src: HwAddr, now: Cycle) -> Cycle {
-        let mut done = now;
-        for (_, backoff) in self.dram_retry_policy().schedule() {
-            done += backoff;
-            done = self.dram.access(HwAddr::new(off), AccessKind::Read, BLOCK_BYTES as u32, done);
-            self.stats.dram_reads += 1;
-            self.stats.dram_read_bytes += BLOCK_BYTES;
-            self.stats.dram.refetch_retries += 1;
-            self.stats.retry.dram_attempts += 1;
-        }
-        done = self.nvm_data_read(block, src, BLOCK_BYTES as u32, done);
-        if let Some(ecc) = self.dram_fault.as_mut() {
-            if ecc.clear_block(off & !(BLOCK_BYTES - 1)) {
-                self.stats.dram.poison_refetched += 1;
-            }
-        }
-        self.working_write(off, BLOCK_BYTES as u32, done)
-    }
-
-    /// Attributes CRC compute/verify work for `bytes` of data. Pure stats
-    /// (the CRC stages are pipelined with the burst transfers); attributed
-    /// only while integrity checking is enabled.
-    fn charge_crc(&mut self, bytes: u64) {
-        if !self.cfg.media.integrity {
-            return;
-        }
-        // Zero bytes touch zero CRC blocks: attribute nothing. (This once
-        // charged `max(1)` blocks, so a zero-length transfer inflated
-        // `crc_checked_blocks`; no current call site passes zero, but the
-        // accounting must not rely on that.)
-        let blocks = bytes.div_ceil(BLOCK_BYTES);
-        if blocks == 0 {
-            return;
-        }
-        self.stats.media.crc_checked_blocks += blocks;
-        self.stats.media.crc_check_cycles += Cycle::from_ns(CRC_NS_PER_BLOCK * blocks);
-    }
-
-    /// Resolves the bad-block indirection: accesses to a remapped block go
-    /// to its spare location instead of the worn-out original.
-    fn remapped(&self, hw: HwAddr) -> HwAddr {
-        if self.bad_blocks.is_empty() {
-            return hw;
-        }
-        let base = hw.raw() & !(BLOCK_BYTES - 1);
-        match self.bad_blocks.get(&base) {
-            Some(&slot) => self.space.spare_block(slot).offset(hw.raw() - base),
-            None => hw,
-        }
-    }
-
-    /// Whether the spare-block pool has been fully consumed: no further
-    /// bad-block remaps are possible and the device can no longer heal
-    /// itself (reads are still served through bounded CRC retries).
-    pub fn spares_exhausted(&self) -> bool {
-        self.next_spare_slot >= self.cfg.media.spare_blocks
-    }
-
-    /// Remaps the block at device address `base` to a fresh spare slot: the
-    /// controller writes an intent record to the write-ahead log, rewrites
-    /// the block's good data (which it still holds) to the spare location,
-    /// and CRC-seals the log record — only then is the indirection in the
-    /// persistent bad-block table effective, so a crash mid-remap leaves a
-    /// torn record that is detected and redone, never compounded. Each
-    /// block is remapped at most once — later accesses resolve through the
-    /// table before touching the media.
-    ///
-    /// Returns the cycle the seal lands, or `None` when the spare pool is
-    /// exhausted: the remap is dropped, `spare_exhausted` is counted, and
-    /// the block keeps being served with per-read CRC retries (graceful
-    /// degradation).
-    // lint: recovery-path
-    fn remap_bad_block(&mut self, base: u64, now: Cycle) -> Option<Cycle> {
-        if self.spares_exhausted() {
-            self.stats.media.spare_exhausted += 1;
-            self.report(Error::SpareExhausted { addr: PhysAddr::new(base) });
-            return None;
-        }
-        // WAL intent: the (bad block → spare slot) assignment.
-        let wal = self.space.backup_wal(self.wal_seq);
-        self.wal_seq += 1;
-        let (mut t, _) = self.nvm_write(wal, NvmWrite::Wal, now);
-        let slot = self.next_spare_slot;
-        self.next_spare_slot += 1;
-        self.bad_blocks.insert(base, slot);
-        (t, _) = self.nvm_write(self.space.spare_block(slot), NvmWrite::RemapPayload, t);
-        // §4.4: intent and payload must be durable before the seal that
-        // commits them.
-        t = self.wpq_fence(t);
-        // CRC seal: the remap commits when this lands.
-        let (sealed, _) = self.nvm_write(wal, NvmWrite::Wal, t);
-        self.stats.media.wal_seals += 1;
-        self.stats.media.remaps += 1;
-        Some(sealed)
-    }
-
-    /// One NVM data read on the load path: applies the bad-block remap,
-    /// charges the device access, and — when media faults are modeled —
-    /// runs the detect/heal pipeline. With integrity checking on, a read
-    /// that fails its per-64 B CRC is retried with bounded backoff
-    /// (transient flips clear on retry); a location that keeps failing is
-    /// permanently bad and its block is remapped to a spare. With integrity
-    /// off, the corrupted bytes are silently delivered to software.
-    // lint: recovery-path
-    fn nvm_data_read(&mut self, block: BlockIndex, hw: HwAddr, bytes: u32, now: Cycle) -> Cycle {
-        let hw = self.remapped(hw);
-        let done = self.nvm_read(hw, bytes, now);
-        // Secure mode decrypts + MAC-verifies every NVM data read,
-        // independent of the media-fault model.
-        if self.security.is_some() {
-            self.stats.security.charge_crypto(&self.cfg.security, u64::from(bytes), false);
-        }
-        if self.fault.is_none() {
-            return done;
-        }
-        self.charge_crc(u64::from(bytes));
-        let fault = self.fault.as_mut().expect("invariant: is_none() checked above");
-        if fault.is_quiet() {
-            // Zero rates, nothing armed, nothing stuck: the model cannot
-            // produce a fault and its streams are never consulted, so the
-            // consultation is skipped wholesale (counted for perfbench's
-            // `mem.quiet_read_ratio`).
-            self.stats.perf.nvm_quiet_reads += 1;
-            return done;
-        }
-        let Some(ev) = fault.read_fault(hw, bytes) else {
-            return done;
-        };
-        if ev.kind == FaultKind::BitFlip {
-            // Stuck-at cells were counted when the wear model created them.
-            self.stats.media.record_fault(FaultKind::BitFlip);
-        }
-        let fault_offset = ev.addr.saturating_sub(hw.raw()).min(u64::from(bytes) - 1);
-        if !self.cfg.media.integrity {
-            // No CRCs: nothing detects the corruption; the wrong bytes are
-            // delivered to software by the functional layer.
-            self.stats.media.silent_corruptions += 1;
-            self.report(Error::MediaCorruption {
-                addr: PhysAddr::new(block.base_addr().raw() + fault_offset),
-                kind: ev.kind,
-            });
-            self.pending_corruption = Some((block.base_addr().raw() + fault_offset, ev.mask));
-            return done;
-        }
-        // The CRC rejected the data: retry with bounded backoff.
-        let (mut done, healed) = self.crc_retries(hw, bytes, done, false);
-        if !healed {
-            // Every retry failed: the location is permanently bad (a
-            // stuck-at cell). Remap the block away from it; with the spare
-            // pool drained the block keeps limping along on CRC retries.
-            self.report(Error::RetriesExhausted {
-                addr: PhysAddr::new(block.base_addr().raw() + fault_offset),
-                attempts: self.cfg.media.max_read_retries,
-            });
-            done = self.remap_bad_block(hw.raw() & !(BLOCK_BYTES - 1), done).unwrap_or(done);
-        }
-        done
-    }
-
-    /// The background scrubber: proactively remaps every block whose cells
-    /// the wear model has marked stuck, repairing checkpoint regions before
-    /// the next epoch reads them. Runs at job retirement — between epochs,
-    /// off the critical path.
-    fn scrub_media(&mut self, now: Cycle) {
-        let cells: Vec<u64> = match self.fault.as_ref() {
-            Some(f) => f.stuck_cells().map(|(addr, _)| addr).collect(),
-            None => return,
-        };
-        // Wounded posture: the scrubber gets a bounded cycle budget so it
-        // can no longer starve foreground traffic; what it cannot finish is
-        // deferred to the next epoch boundary (counted). Off-ladder runs
-        // keep the unbudgeted behaviour bit-identically.
-        let deadline = self
-            .health_mon
-            .as_ref()
-            .filter(|m| m.rung() >= HealthRung::Wounded)
-            .map(|_| now + Cycle::from_ns(self.cfg.health.scrub_budget_ns));
-        let mut t = now;
-        for cell in cells {
-            if self.spares_exhausted() {
-                // Nothing left to heal with: stop scrubbing; reads keep
-                // being served through bounded CRC retries.
-                break;
-            }
-            if deadline.is_some_and(|d| t > d) {
-                self.stats.health.scrub_deferrals += 1;
-                break;
-            }
-            let base = cell & !(BLOCK_BYTES - 1);
-            if self.bad_blocks.contains_key(&base) {
-                continue; // already remapped away from the bad cell
-            }
-            // Verify the block (NVM read + CRC), then remap it to a spare.
-            t = self.nvm_read(HwAddr::new(base), BLOCK_BYTES as u32, t);
-            self.charge_crc(BLOCK_BYTES);
-            if let Some(done) = self.remap_bad_block(base, t) {
-                t = done;
-                self.stats.media.scrub_repairs += 1;
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Working Data Region access (placement per §4.1 footnote 3)
-    // ------------------------------------------------------------------
 
     /// Hardware-address offset that keeps an NVM-placed working region
     /// disjoint from the Home Region and Checkpoint Region A on the NVM
@@ -1461,59 +668,32 @@ impl ThyNvm {
     fn working_write(&mut self, off: u64, bytes: u32, now: Cycle) -> Cycle {
         match self.cfg.thynvm.working_region {
             thynvm_types::WorkingRegion::Dram => {
-                let done = self
-                    .dram
-                    .access(thynvm_types::HwAddr::new(off), AccessKind::Write, bytes, now);
+                let hw = HwAddr::new(off);
+                let done = self.dram.access(hw, AccessKind::Write, bytes, now);
                 self.stats.record_dram_write(u64::from(bytes));
-                // A whole-block rewrite re-encodes the ECC word: any poison
-                // fully covered by the write is gone with the bad bits.
-                if let Some(ecc) = self.dram_fault.as_mut() {
-                    self.stats.dram.poison_overwritten += ecc.note_write(off, bytes) as u64;
-                }
-                done
+                self.on_write(hw, Write::Dram { bytes }, done).0
             }
             thynvm_types::WorkingRegion::Nvm => {
                 let hw = HwAddr::new(Self::NVM_WORKING_BASE + off);
-                self.nvm_write(hw, NvmWrite::Working { bytes: u64::from(bytes) }, now).0
+                self.on_write(hw, Write::Working { bytes: u64::from(bytes) }, now).0
             }
         }
     }
 
     /// Reads `bytes` at working-region offset `off`, honoring the
-    /// configured placement.
-    fn working_read(&mut self, off: u64, bytes: u32, now: Cycle) -> Cycle {
+    /// configured placement. A DRAM read passes the SEC-DED check; `Err`
+    /// carries the cycle the containment of uncorrectable poison landed,
+    /// done as `poison` says.
+    fn working_read(&mut self, off: u64, bytes: u32, now: Cycle, poison: Poison) -> Result<Cycle, Cycle> {
         match self.cfg.thynvm.working_region {
             thynvm_types::WorkingRegion::Dram => {
-                let done =
-                    self.dram.access(thynvm_types::HwAddr::new(off), AccessKind::Read, bytes, now);
+                let hw = HwAddr::new(off);
+                let done = self.dram.access(hw, AccessKind::Read, bytes, now);
                 self.stats.dram_reads += 1;
                 self.stats.dram_read_bytes += u64::from(bytes);
-                // Every DRAM read passes through the SEC-DED check: count
-                // corrections and register fresh poison here; the *response*
-                // (refetch or quarantine) is the caller's, who knows whether
-                // the data under the poison is dirty.
-                if let Some(ecc) = self.dram_fault.as_mut() {
-                    if ecc.is_quiet() {
-                        // The SEC-DED model cannot fault: skip the check
-                        // (counted in `PerfStats`, like the NVM-side skip).
-                        self.stats.perf.dram_quiet_reads += 1;
-                    } else {
-                        match ecc.observe_read(off, bytes) {
-                            Some(EccReadFault::Corrected) => {
-                                self.stats.dram.corrected_flips += 1;
-                            }
-                            Some(EccReadFault::Poisoned { fresh: true, .. }) => {
-                                self.stats.dram.poisoned_blocks += 1;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                done
+                self.on_read(hw, bytes, done, Read::Working(poison))
             }
-            thynvm_types::WorkingRegion::Nvm => {
-                self.nvm_read(HwAddr::new(Self::NVM_WORKING_BASE + off), bytes, now)
-            }
+            thynvm_types::WorkingRegion::Nvm => Ok(self.nvm_read(HwAddr::new(Self::NVM_WORKING_BASE + off), bytes, now)),
         }
     }
 
@@ -1551,7 +731,7 @@ impl ThyNvm {
         // The version about to be superseded becomes `C_penult` — the
         // integrity-fallback target should `C_last` later fail verification
         // (media CRCs or secure-mode MAC authentication).
-        if self.fault.is_some() || self.cfg.media.integrity || self.security.is_some() {
+        if self.fault_model().is_some() || self.cfg.media.integrity || self.security_model().is_some() {
             self.penult = self.last.clone();
         }
 
@@ -1561,7 +741,7 @@ impl ThyNvm {
         for (addr, data) in self.ckpting_log.drain(..) {
             self.last.image.write(thynvm_types::HwAddr::new(addr), &data);
         }
-        if self.security.is_some() {
+        if self.security_model().is_some() {
             self.last.seal(mac_key(&self.cfg));
         }
         if let Some(rung) = job.health_rung {
@@ -1635,11 +815,8 @@ impl ThyNvm {
         // Deferred scheme switching (§3.4), now that the system is quiescent.
         self.apply_scheme_switches(retire_at);
 
-        // Background scrubbing between epochs: proactively remap blocks the
-        // wear model has marked stuck before the next epoch reads them.
-        if self.cfg.media.scrub {
-            self.scrub_media(retire_at);
-        }
+        // The fault domains' retirement work: the background scrubber.
+        self.on_commit(Commit::Scrub(retire_at));
 
         // Free table pressure: entries belonging only to committed
         // checkpoints are reclaimed once occupancy is high (§4.3 frees
@@ -1651,9 +828,8 @@ impl ThyNvm {
             self.reclaim_quiescent(retire_at, excess);
         }
 
-        // Epoch boundary: one health-ladder evaluation over the signals the
-        // retired epoch (and its scrub pass) left behind.
-        self.health_evaluate();
+        // Epoch boundary: one health-ladder evaluation.
+        self.on_commit(Commit::Evaluate);
     }
 
     /// Applies promotions/demotions decided from the previous epoch's store
@@ -1761,31 +937,18 @@ impl ThyNvm {
     fn demote_page(&mut self, page: PageIndex, now: Cycle) {
         let Some(entry) = self.ptt.remove(page) else { return };
         let off = self.space.working_offset(self.space.working_page(entry.slot));
-        self.working_read(off, PAGE_BYTES as u32, now);
-        let poisoned = self.dram_poisoned_in(off, PAGE_BYTES);
-        if !poisoned.is_empty() {
+        let home = self.space.home(page.base_addr());
+        if self.working_read(off, PAGE_BYTES as u32, now, Poison::Clean).is_ok() {
+            self.on_write(home, Write::Migration { bytes: PAGE_BYTES }, now);
+        } else if let Some(region) = entry.clast_region {
             // The page is clean (demotion skips dirty pages), so its exact
             // bytes exist intact in NVM: source the migration copy from
-            // `C_last` instead of the poisoned DRAM — NVM-to-NVM, counted
-            // as refetches because no data is lost.
-            if let Some(ecc) = self.dram_fault.as_mut() {
-                for b in &poisoned {
-                    ecc.clear_block(*b);
-                }
-            }
-            self.stats.dram.poison_refetched += poisoned.len() as u64;
-            if let Some(region) = entry.clast_region {
-                self.nvm_read(self.space.checkpoint_page(region, page), PAGE_BYTES as u32, now);
-                let dst = self.remapped(self.space.home(page.base_addr()));
-                self.nvm_write(dst, NvmWrite::Migration { bytes: PAGE_BYTES }, now);
-            }
-            // With no checkpointed copy the Home Region already holds the
-            // page's bytes, so the demotion is pure bookkeeping.
-            self.stats.pages_demoted += 1;
-            return;
+            // `C_last` instead of the poisoned DRAM — NVM-to-NVM. With no
+            // checkpointed copy the Home Region already holds the page's
+            // bytes, so the demotion is pure bookkeeping.
+            self.nvm_read(self.space.checkpoint_page(region, page), PAGE_BYTES as u32, now);
+            self.on_write(home, Write::Migration { bytes: PAGE_BYTES }, now);
         }
-        let dst = self.remapped(self.space.home(page.base_addr()));
-        self.nvm_write(dst, NvmWrite::Migration { bytes: PAGE_BYTES }, now);
         self.stats.pages_demoted += 1;
     }
 
@@ -1920,8 +1083,8 @@ impl ThyNvm {
         if newly_dirty {
             self.epoch_dirty_blocks += 1;
         }
-        let hw = self.remapped(self.space.checkpoint_block(region, block));
-        let (done, resume) = self.nvm_write(hw, NvmWrite::Store { bytes: u64::from(bytes), class }, now);
+        let hw = self.space.checkpoint_block(region, block);
+        let (done, resume) = self.on_write(hw, Write::Store { bytes: u64::from(bytes), class }, now);
         self.nvm_wq.push(done, now).max(resume)
     }
 
@@ -1937,8 +1100,7 @@ impl ThyNvm {
                 // C_last lives in Region A: copy it to the Home Region so
                 // the entry can be dropped.
                 self.nvm_read(self.space.checkpoint_block(Region::A, block), BLOCK_BYTES as u32, now);
-                let dst = self.remapped(self.space.home(block.base_addr()));
-                self.nvm_write(dst, NvmWrite::Migration { bytes: BLOCK_BYTES }, now);
+                self.on_write(self.space.home(block.base_addr()), Write::Migration { bytes: BLOCK_BYTES }, now);
             }
             reclaimed += 1;
         }
@@ -1950,34 +1112,10 @@ impl ThyNvm {
     fn read_block(&mut self, block: BlockIndex, bytes: u32, now: Cycle) -> Cycle {
         let page = block.page();
         if let Some(entry) = self.ptt.get(page) {
-            let (slot, dirty, frozen, clast) =
-                (entry.slot, entry.dirty, entry.frozen, entry.clast_region);
-            let hw = self
-                .space
-                .working_page(slot)
-                .offset(block.slot_in_page() * BLOCK_BYTES);
+            let hw = self.space.working_page(entry.slot).offset(block.slot_in_page() * BLOCK_BYTES);
             let off = self.space.working_offset(hw);
-            let done = self.working_read(off, bytes, now);
-            if self.dram_poison_free(off, u64::from(bytes)) {
-                return done;
-            }
-            if dirty {
-                // Dirty data under the poison: the bytes exist nowhere
-                // else, so there is nothing to re-fetch. Quarantine now
-                // rather than let the poison age toward a checkpoint.
-                return self.quarantine_page(page, done);
-            }
-            // Clean (or frozen-and-captured) page: the block's exact bytes
-            // sit intact in NVM — re-fetch them and heal the DRAM copy.
-            let in_page = block.slot_in_page() * BLOCK_BYTES;
-            let src = match self.pending_pages.get(&page) {
-                Some(p) if frozen => self.space.checkpoint_page(p.target, page).offset(in_page),
-                _ => match clast {
-                    Some(r) => self.space.checkpoint_page(r, page).offset(in_page),
-                    None => self.space.home(block.base_addr()),
-                },
-            };
-            return self.dram_refetch_block(block, off, src, done);
+            let (Ok(done) | Err(done)) = self.working_read(off, bytes, now, Poison::PageBlock(block));
+            return done;
         }
         if let Some(entry) = self.btt.get(block) {
             let loc = entry.wactive.or(entry.pending);
@@ -1985,14 +1123,13 @@ impl ThyNvm {
                 Some(WactiveLoc::DramBuffered { slot }) => {
                     let hw = self.space.working_block(slot, self.ptt.capacity());
                     let off = self.space.working_offset(hw);
-                    let done = self.working_read(off, bytes, now);
-                    if self.dram_poison_free(off, u64::from(bytes)) {
-                        return done;
-                    }
-                    // A buffered working copy is dirty by construction:
-                    // quarantine the block, then serve the rolled-back
-                    // bytes from its surviving checkpointed copy.
-                    let done = self.quarantine_buffered_block(block, off, done);
+                    // A buffered working copy is dirty by construction: under
+                    // poison the block is quarantined, and the rolled-back
+                    // bytes are served from its surviving checkpointed copy.
+                    let done = match self.working_read(off, bytes, now, Poison::Buffered(block)) {
+                        Ok(done) => return done,
+                        Err(done) => done,
+                    };
                     let entry = self.btt.get(block);
                     let src = match entry.and_then(|e| e.pending) {
                         Some(WactiveLoc::Nvm(r)) => self.space.checkpoint_block(r, block),
@@ -2001,22 +1138,22 @@ impl ThyNvm {
                             None => self.space.home(block.base_addr()),
                         },
                     };
-                    return self.nvm_data_read(block, src, bytes, done);
+                    return self.data_read(src, bytes, done, Read::Load(block));
                 }
                 Some(WactiveLoc::Nvm(region)) => {
                     let hw = self.space.checkpoint_block(region, block);
-                    return self.nvm_data_read(block, hw, bytes, now);
+                    return self.data_read(hw, bytes, now, Read::Load(block));
                 }
                 None => {
                     let region = entry.clast_region.unwrap_or(Region::B);
                     let hw = self.space.checkpoint_block(region, block);
-                    return self.nvm_data_read(block, hw, bytes, now);
+                    return self.data_read(hw, bytes, now, Read::Load(block));
                 }
             }
         }
         // Home Region.
         let hw = self.space.home(block.base_addr());
-        self.nvm_data_read(block, hw, bytes, now)
+        self.data_read(hw, bytes, now, Read::Load(block))
     }
 
     // ------------------------------------------------------------------
@@ -2100,7 +1237,7 @@ impl ThyNvm {
         // action: re-authenticate it so recovery's MAC verification does
         // not mistake the sanctioned rollback for tampering. The durable
         // rung stays: the archive holds images only.
-        if self.security.is_some() {
+        if self.security_model().is_some() {
             self.last.seal(mac_key(&self.cfg));
         }
         self.archive.retain(|(n, _)| *n <= number);
@@ -2138,7 +1275,10 @@ impl ThyNvm {
         // be promised, so the store is refused — no mutation, no traffic.
         // (Retire first: a completed checkpoint may have promoted the rung.)
         self.retire_job_if_done(now);
-        if self.degraded_store_rejection().is_some() {
+        let rung = self.health_rung();
+        if rung >= HealthRung::ReadOnly {
+            self.stats.health.stores_rejected += 1;
+            self.report(Error::Degraded { rung });
             return now;
         }
         self.visible.write(thynvm_types::HwAddr::new(addr.raw()), data);
@@ -2200,8 +1340,10 @@ impl ThyNvm {
             Some(resume) => resume.max(now),
             None => now,
         };
-        self.visible.read(thynvm_types::HwAddr::new(addr.raw()), buf);
-        self.pending_corruption = None;
+        let hw = HwAddr::new(addr.raw());
+        self.visible.read(hw, buf);
+        // An undelivered corruption from an earlier access is stale.
+        let _ = self.on_read(hw, 0, now, Read::Deliver(&mut []));
         let q0 = self.stats.dram.quarantine_dropped_bytes;
         let req = MemRequest::read(addr, u32::try_from(buf.len()).expect("read too large"));
         let done = self.access(&req, now);
@@ -2209,51 +1351,12 @@ impl ThyNvm {
         // visible image just rolled back, so the bytes captured above are
         // stale — deliver the rolled-back contents instead.
         if self.stats.dram.quarantine_dropped_bytes != q0 {
-            self.visible.read(thynvm_types::HwAddr::new(addr.raw()), buf);
+            self.visible.read(hw, buf);
         }
         // Without integrity protection an undetected media fault reaches
         // software: deliver the corrupted byte, not the stored one.
-        if let Some((paddr, mask)) = self.pending_corruption.take() {
-            if let Some(i) = paddr.checked_sub(addr.raw()) {
-                if let Some(b) = buf.get_mut(i as usize) {
-                    *b ^= mask;
-                }
-            }
-        }
+        let _ = self.on_read(hw, 0, done, Read::Deliver(buf));
         done
-    }
-
-    /// Applies an armed tamper to the persisted state it forges. The raw
-    /// store mutations model an attacker with physical NVM access writing
-    /// out-of-band — they deliberately bypass the controller's write path
-    /// (no counters bump, no MAC rotates), which is exactly why the next
-    /// recovery's recomputed MAC rejects the forged image.
-    // lint: recovery-path
-    fn apply_tamper(&mut self, fault: TamperFault) {
-        self.stats.security.tampers_injected += 1;
-        let forge = |store: &mut SparseStore, addr: u64| {
-            let mut b = [0u8];
-            store.read(HwAddr::new(addr), &mut b);
-            b.iter_mut().for_each(|x| *x ^= 0xA5);
-            store.write(HwAddr::new(addr), &b);
-        };
-        match fault {
-            TamperFault::ClastData { addr } => forge(&mut self.last.image, addr),
-            TamperFault::StaleCounterTable => self
-                .security
-                .as_mut()
-                .expect("invariant: tamper applied only with secure mode on")
-                .tamper_stale_table(),
-            TamperFault::TornRootMeta => self
-                .security
-                .as_mut()
-                .expect("invariant: tamper applied only with secure mode on")
-                .tamper_torn_root(),
-            TamperFault::BothImages { addr } => {
-                forge(&mut self.last.image, addr);
-                forge(&mut self.penult.image, addr);
-            }
-        }
     }
 
     /// Simulates a power failure at `now` followed by the §4.5 recovery
@@ -2273,44 +1376,11 @@ impl ThyNvm {
     pub fn crash_and_recover(&mut self, now: Cycle) -> RecoveryReport {
         // A checkpoint that finished before the crash counts.
         self.retire_job_if_done(now);
-
-        // Volatile persist buffer: the partial flush decides which
-        // in-flight entries each bank salvaged on residual energy. If the
-        // in-flight checkpoint's commit marker became durable *and* no
-        // data entry was lost, the checkpoint is complete at the device
-        // even though its timeline had not finished — commit it early
-        // (recovery restores `C_last`, not `C_penult`). A marker that
-        // outran dropped payload never commits: the fence discipline (and
-        // its L10 audit) exists precisely to keep that window closed.
-        if let Some(p) = self.pbuf.as_mut() {
-            let flush = p.crash(now);
-            self.stats.wpq = *p.stats();
-            self.last_wpq_flush = Some(flush);
-            if flush.commit_salvaged() {
-                if let Some(job) = self.epoch.job.take() {
-                    self.epoch.completed += 1;
-                    self.commit_job(job);
-                }
-            }
-        }
-
-        // Ambient torn write: power failed mid-Finalize, while the 8-word
-        // commit record was streaming to NVM. Only a prefix of the record
-        // persists; recovery sees an unset/invalid commit flag, so the
-        // interrupted checkpoint is discarded exactly as §4.5 already does.
-        if self.cfg.media.torn_writes {
-            let in_finalize = self
-                .epoch
-                .job
-                .as_ref()
-                .is_some_and(|j| !j.is_done(now) && j.phase_at(now) == CkptPhase::Finalize);
-            if in_finalize {
-                if let Some(f) = self.fault.as_mut() {
-                    let _ = f.torn_words(COMMIT_RECORD_WORDS);
-                    self.stats.media.record_fault(FaultKind::TornWrite);
-                }
-            }
-        }
+        // The fault domains' share of the power failure: the persist
+        // buffer's partial flush (which may commit the in-flight checkpoint
+        // early), a torn commit record, DRAM poison, the counter cache and
+        // the tamper schedule.
+        self.on_crash(now);
 
         // Anything in flight is lost — including the rung the incomplete
         // checkpoint's health record carried (its commit flag never set).
@@ -2325,116 +1395,35 @@ impl ThyNvm {
         self.stats.wq_writes_lost += lost as u64;
         self.epoch_dirty_blocks = 0;
         self.input_blocked_until = Cycle::ZERO;
-        // DRAM contents vanish with power — and with them any outstanding
-        // poison (the next boot re-reads everything from NVM, which the
-        // quarantine discipline kept poison-free).
-        if let Some(ecc) = self.dram_fault.as_mut() {
-            self.stats.dram.poison_cleared_by_crash += ecc.clear_all() as u64;
-        }
-        // The controller's volatile counter cache reverts to the persisted
-        // table; the counters bumped mid-epoch are a *bounded, known* set
-        // that recovery replays — never guesses (arXiv:1901.00620).
-        if let Some(sec) = self.security.as_mut() {
-            self.stats.security.counters_replayed += sec.crash() as u64;
-        }
-
-        // Adversarial tamper schedule: the seeded stream may decide this
-        // crash window is when the attacker strikes. The stream always
-        // advances (determinism is a function of crash count, not of which
-        // branch fires); a manually armed tamper takes precedence.
-        if let Some(sec) = self.security.as_mut() {
-            let roll = sec.tamper_roll();
-            if self.injected_tamper.is_none() && self.epoch.completed > 0 {
-                if let Some(h) = roll {
-                    let addr = (h >> 8) & 0xf_ffff; // somewhere in the image
-                    self.injected_tamper = Some(match h % 3 {
-                        0 => TamperFault::ClastData { addr },
-                        1 => TamperFault::StaleCounterTable,
-                        _ => TamperFault::TornRootMeta,
-                    });
-                }
-            }
-        }
-        // Apply the armed tamper once a completed checkpoint exists to
-        // forge. The mutation is *real* (bytes / model state change), so
-        // every restarted recovery attempt re-derives the same verdict by
-        // recomputation — no flag peeking needed.
-        if self.security.is_some() && self.epoch.completed > 0 {
-            if let Some(t) = self.injected_tamper.take() {
-                self.apply_tamper(t);
-            }
-        }
 
         // Restartable recovery: run attempts until one completes. A queued
         // crash point overrun by an attempt's timeline aborts it (a nested
-        // crash); the next attempt restarts at the interrupting cycle.
+        // crash), undoing its unsealed remaps; the next attempt restarts at
+        // the interrupting cycle.
         let tampers_before = self.stats.security.tampers_detected;
         let wal_redos_before = self.stats.media.wal_redos;
         let nested_before = self.stats.nested_crashes;
         let mut attempts = 0u64;
         let mut start = now;
-        let (steps, restored, mut end) = loop {
+        let (steps, restored, end) = loop {
             attempts += 1;
-            match self.recovery_attempt(start, &mut verdict) {
+            let mut remaps = Vec::new();
+            match self.recovery_attempt_run(start, &mut verdict, &mut remaps) {
                 Ok(done) => break done,
-                Err(at) => start = start.max(at),
+                Err(at) => {
+                    let _ = self.on_recovery_step(Step::Abort(remaps), at, &mut verdict);
+                    start = start.max(at);
+                }
             }
         };
 
         // Roll the visible image back to the recovered checkpoint.
         self.visible = self.last.image.clone();
 
-        // Rehydrate the health ladder with the rung that was durable
-        // alongside the restored image. A tamper detected by *this*
-        // recovery, or an unrecoverable verdict, overrides it: the ladder
-        // lands at FailSafe, which never promotes.
-        if self.health_mon.is_some() {
-            // `last.rung` mirrors the durable record at `health_record()`
-            // exactly: it starts Healthy (no record, no standing
-            // degradation) and only changes when a record commits —
-            // checkpoint retirement, fallback, or the override-persist below.
-            let persisted = self.last.rung;
-            let rung = if verdict.unrecoverable
-                || self.stats.security.tampers_detected > tampers_before
-            {
-                HealthRung::FailSafe
-            } else if self.stats.media.wal_redos - wal_redos_before
-                >= self.cfg.health.readonly_wal_redos
-            {
-                // WAL redos only ever happen inside recovery, and
-                // `rehydrate` re-baselines the monitor's counters at the
-                // post-recovery values — so redos crossing the threshold
-                // must escalate here or they would never reach the ladder.
-                persisted.max(HealthRung::ReadOnly)
-            } else {
-                persisted
-            };
-            let signals = self.health_signals();
-            let mon = self.health_mon.as_mut().expect("invariant: is_some() checked above");
-            mon.rehydrate(rung, &signals, &mut self.stats.health);
-            // An override that outranks the durable record (tamper →
-            // FailSafe, WAL-redo → ReadOnly) is persisted before recovery
-            // hands control back: a follow-on crash would otherwise
-            // rehydrate the stale pre-incident rung and launder the
-            // degradation away. The persist is WAL-bracketed (L8): recovery
-            // runs with no checkpoint in flight, so a crash tearing the
-            // record mid-write would otherwise leave a corrupt rung with
-            // nothing to redo it from.
-            if rung > persisted {
-                // WAL intent: the escalated rung about to be recorded.
-                let wal = self.space.backup_wal(self.wal_seq);
-                self.wal_seq += 1;
-                (end, _) = self.nvm_write(wal, NvmWrite::Wal, end);
-                (end, _) = self.nvm_write(self.space.health_record(), NvmWrite::Metadata { bytes: 64 }, end);
-                // §4.4: intent and record must be durable before the seal.
-                end = self.wpq_fence(end);
-                // CRC seal: the override commits when this lands.
-                (end, _) = self.nvm_write(wal, NvmWrite::WalUnbuffered, end);
-                self.stats.media.wal_seals += 1;
-                self.stats.health.rung_persists += 1;
-                self.last.rung = rung;
-            }
-        }
+        // Rehydrate the health ladder with the rung durable alongside the
+        // restored image, or the override this recovery's findings demand.
+        let rehydrate = Step::Rehydrate { tampers_before, wal_redos_before };
+        let (Ok(end) | Err(end)) = self.on_recovery_step(rehydrate, end, &mut verdict);
 
         // Fresh epoch begins after recovery.
         self.epoch = EpochState {
@@ -2461,29 +1450,6 @@ impl ThyNvm {
         report
     }
 
-    /// One pass of the §4.5 recovery step machine, beginning at `start`.
-    /// Returns the completed steps, pages restored, and end cycle — or
-    /// `Err(at)` when a queued crash point at cycle `at` aborted it, with
-    /// any unsealed recovery-side remaps rolled back (their torn WAL
-    /// records mean the next attempt redoes them from scratch).
-    fn recovery_attempt(&mut self, start: Cycle, verdict: &mut Verdict) -> RecoveryPass {
-        let mut remaps = Vec::new();
-        let result = self.recovery_attempt_run(start, verdict, &mut remaps);
-        if let Err(at) = result {
-            // Bad-block remaps whose WAL seal had not landed when power
-            // failed never took effect: drop the in-memory indirection and
-            // return the spare slots. Sealed remaps (seal ≤ at) persist.
-            for (base, sealed) in remaps.into_iter().rev() {
-                if sealed > at {
-                    self.bad_blocks.remove(&base);
-                    self.next_spare_slot -= 1;
-                    self.stats.media.wal_redos += 1;
-                }
-            }
-        }
-        result
-    }
-
     /// Checks whether completing a recovery step at `t_end` overruns the
     /// earliest queued crash point: if so, power failed mid-recovery. The
     /// point is consumed, a nested crash is recorded against `step` with
@@ -2508,82 +1474,6 @@ impl ThyNvm {
         Err(at)
     }
 
-    /// Bounded CRC re-reads of `hw` after a failed check: each retry waits
-    /// out its backoff, re-reads and re-verifies (transient flips clear on
-    /// retry). `recovery` attributes the attempts to the recovery-side
-    /// retry ledger instead of the load path's. Returns the cycle the last
-    /// read lands and whether one verified.
-    fn crc_retries(&mut self, hw: HwAddr, bytes: u32, mut done: Cycle, recovery: bool) -> (Cycle, bool) {
-        for (_, backoff) in self.media_retry_policy().schedule() {
-            done += backoff;
-            done = self.nvm_read(hw, bytes, done);
-            self.stats.media.retries += 1;
-            if recovery {
-                self.stats.retry.recovery_attempts += 1;
-            } else {
-                self.stats.retry.media_attempts += 1;
-            }
-            self.charge_crc(u64::from(bytes));
-            if self.fault.as_mut().is_none_or(|f| f.read_fault(hw, bytes).is_none()) {
-                return (done, true);
-            }
-        }
-        (done, false)
-    }
-
-    /// One fault-aware NVM read on the recovery path: resolves the
-    /// bad-block indirection, pays the device latency, verifies CRCs, and
-    /// — when retries exhaust — remaps the block, recording the WAL seal
-    /// cycle in `remaps` so an aborted attempt can undo unsealed ones.
-    fn recovery_read(
-        &mut self,
-        hw: HwAddr,
-        bytes: u32,
-        now: Cycle,
-        remaps: &mut Vec<(u64, Cycle)>,
-    ) -> Cycle {
-        let hw = self.remapped(hw);
-        let done = self.nvm_read(hw, bytes, now);
-        self.charge_crc(u64::from(bytes));
-        if self.security.is_some() {
-            self.stats.security.charge_crypto(&self.cfg.security, u64::from(bytes), false);
-        }
-        if !self.cfg.media.integrity
-            || self.fault.as_mut().is_none_or(|f| f.read_fault(hw, bytes).is_none())
-        {
-            return done;
-        }
-        let (mut done, healed) = self.crc_retries(hw, bytes, done, true);
-        if healed {
-            return done;
-        }
-        let base = hw.raw() & !(BLOCK_BYTES - 1);
-        if let Some(sealed) = self.remap_bad_block(base, done) {
-            remaps.push((base, sealed));
-            done = sealed;
-        }
-        done
-    }
-
-    /// Commits a recovery-side fallback through the write-ahead log: an
-    /// intent record and its CRC seal, written around the persist buffer.
-    /// If a queued crash point interrupts before the seal lands, nothing
-    /// took effect — the redo is counted and the next attempt re-detects
-    /// and redoes the fallback. Otherwise the seal is counted and the
-    /// caller applies the fallback from the returned cycle.
-    fn recovery_wal_commit(&mut self, t: Cycle, verdict: Verdict) -> Result<Cycle, Cycle> {
-        let wal = self.space.backup_wal(self.wal_seq);
-        self.wal_seq += 1;
-        let (w, _) = self.nvm_write(wal, NvmWrite::WalUnbuffered, t);
-        let (w, _) = self.nvm_write(wal, NvmWrite::WalUnbuffered, w); // seal
-        if let Err(at) = self.recovery_interrupt(RecoveryStep::IntegrityFallback, w, verdict) {
-            self.stats.media.wal_redos += 1;
-            return Err(at);
-        }
-        self.stats.media.wal_seals += 1;
-        Ok(w)
-    }
-
     /// Restores the retained `C_penult` version — image, MAC and rung — as
     /// `C_last` after `C_last` failed verification, and steps the
     /// completed-checkpoint count back.
@@ -2598,12 +1488,7 @@ impl ThyNvm {
     /// The body of one recovery attempt. Each step pays its modeled NVM
     /// latency, then checks the queued crash points before its effects are
     /// considered complete.
-    fn recovery_attempt_run(
-        &mut self,
-        start: Cycle,
-        verdict: &mut Verdict,
-        remaps: &mut Vec<(u64, Cycle)>,
-    ) -> RecoveryPass {
+    fn recovery_attempt_run(&mut self, start: Cycle, verdict: &mut Verdict, remaps: &mut Vec<(u64, Cycle)>) -> RecoveryPass {
         // Power restore: volatile device state (row buffers, bank busy
         // times) starts fresh on every attempt.
         self.dram.power_cycle();
@@ -2611,134 +1496,14 @@ impl ThyNvm {
         let mut steps = Vec::with_capacity(5);
 
         // Step 1: read the checkpoint commit record.
-        let mut t = self.recovery_read(self.space.backup(0), 64, start, remaps);
+        let t = self.data_read(self.space.backup(0), 64, start, Read::Recovery(remaps));
         self.recovery_interrupt(RecoveryStep::ReadCommitRecord, t, *verdict)?;
         steps.push((RecoveryStep::ReadCommitRecord, t));
 
-        // Step 2: verify `C_last`'s integrity (commit-record checksum +
-        // BTT/PTT metadata CRCs). A latent fault in any of them makes
-        // `C_last` unusable; step 3 then falls back to `C_penult`, which a
-        // completed checkpoint always leaves intact.
-        if self.cfg.media.integrity && self.epoch.completed > 0 {
-            let meta_bytes = ((self.btt.len() + self.ptt.len()).max(1) as u64) * META_ENTRY_BYTES
-                + 2 * META_CRC_BYTES;
-            let meta_len = u32::try_from(meta_bytes.min(u64::from(u32::MAX)))
-                .expect("invariant: value clamped to u32::MAX on the previous line")
-                .max(64);
-            t = self.recovery_read(self.space.backup(8192), meta_len, t, remaps);
-            // Peek — never consume — the injected latent faults: whether
-            // `C_last` is corrupt is a property of the persisted bytes, so
-            // a restarted attempt must reach the same verdict.
-            for fault in &self.injected_media {
-                self.stats.media.record_fault(fault.kind());
-            }
-            let corrupt = !self.injected_media.is_empty();
-            self.recovery_interrupt(RecoveryStep::VerifyClast, t, *verdict)?;
-            steps.push((RecoveryStep::VerifyClast, t));
+        // Steps 2–3b: the fault domains verify `C_last` and fall back to
+        // `C_penult` (or reset) when it fails.
+        let mut t = self.on_recovery_step(Step::Verify((remaps, &mut steps)), t, verdict)?;
 
-            // Step 3: fall back to `C_penult` — write-ahead + CRC-sealed,
-            // so an interruption leaves a torn WAL record that the next
-            // attempt detects and redoes, never a half-applied fallback.
-            if corrupt {
-                t = self.recovery_wal_commit(t, *verdict)?;
-                // Sealed: the fallback commits, and the corrupt `C_last`
-                // image is no longer reachable — consume the faults.
-                self.injected_media.clear();
-                self.fall_back_to_penult();
-                self.stats.media.integrity_fallbacks += 1;
-                verdict.integrity_fallback = true;
-                steps.push((RecoveryStep::IntegrityFallback, t));
-            }
-        }
-
-        // Step 2b/3b: secure-mode authentication. The MAC over the
-        // committed image and the integrity-tree root over the counter
-        // table are *recomputed* from persisted state — pure functions of
-        // it, so a restarted attempt converges on the same verdict. A CRC
-        // fallback that landed on `completed == 0` still authenticates:
-        // the fallback image was cloned from persisted `C_penult` bytes an
-        // attacker with physical access can forge, so skipping the MAC
-        // here would replay unauthenticated data (a forged penult behind a
-        // torn commit record with exactly one completed checkpoint).
-        if self.security.is_some() && (self.epoch.completed > 0 || verdict.integrity_fallback) {
-            let table_bytes = (self.security.as_ref().expect("invariant: secure mode is on in this block").table_entries()
-                as u64
-                * META_ENTRY_BYTES)
-                .max(64);
-            t = self.recovery_read(self.space.security_root(), 64, t, remaps);
-            t = self.recovery_read(
-                self.space.security_counters(0),
-                u32::try_from(table_bytes.min(u64::from(u32::MAX))).expect("invariant: clamped to u32::MAX above"),
-                t,
-                remaps,
-            );
-            self.stats.security.charge_crypto(&self.cfg.security, table_bytes + 64, false);
-            // An armed media fault with CRC protection off: nothing else
-            // would detect it, but the MAC does — accidentally corrupt
-            // bytes fail authentication just like forged ones.
-            let media_caught = !self.cfg.media.integrity && !self.injected_media.is_empty();
-            let key = mac_key(&self.cfg);
-            let mac_ok = !media_caught && self.last.verifies(key);
-            let table_ok = self.security.as_ref().expect("invariant: secure mode is on in this block").table_authentic();
-            self.recovery_interrupt(RecoveryStep::VerifyMacs, t, *verdict)?;
-            steps.push((RecoveryStep::VerifyMacs, t));
-
-            if !mac_ok || !table_ok {
-                let root_torn = self.security.as_ref().expect("invariant: secure mode is on in this block").root_is_torn();
-                let penult_ok = mac_ok || self.penult.verifies(key);
-                // Either outcome commits through the WAL first — intent,
-                // act, seal — so an interruption leaves a torn record the
-                // next attempt detects and redoes, never a half-applied
-                // fallback or reset.
-                t = self.recovery_wal_commit(t, *verdict)?;
-                // Sealed: count the detection exactly once — a restarted
-                // attempt after the seal finds healed state and detects
-                // nothing, so these ledgers never double-count.
-                self.stats.security.tampers_detected += 1;
-                if root_torn {
-                    self.stats.security.classified_torn += 1;
-                } else if media_caught {
-                    self.stats.security.classified_media += 1;
-                } else {
-                    // A rolled-back counter table (replay attack) or a
-                    // content forgery: deliberate tampering either way.
-                    self.stats.security.classified_tamper += 1;
-                }
-                if media_caught {
-                    // The MAC caught what the absent CRCs could not; the
-                    // fallback makes the faulted image unreachable.
-                    self.injected_media.clear();
-                }
-                if penult_ok {
-                    // Degrade to `C_penult` exactly as CRC failures do,
-                    // re-deriving and re-sealing the counter table from
-                    // the surviving authenticated image.
-                    self.fall_back_to_penult();
-                    self.security.as_mut().expect("invariant: secure mode is on in this block").heal_table();
-                    self.stats.security.verify_fallbacks += 1;
-                    verdict.integrity_fallback = true;
-                } else {
-                    // Both images fail authentication: replaying either
-                    // would hand unauthenticated (possibly attacker-
-                    // chosen) data to software. Reset both images to the
-                    // provably empty one and surface the error instead.
-                    // The durable rungs stay: the health record is separate
-                    // NVM state the forgery did not touch.
-                    self.last = Checkpoint { rung: self.last.rung, ..Checkpoint::empty(key) };
-                    self.penult = Checkpoint { rung: self.penult.rung, ..Checkpoint::empty(key) };
-                    self.btt = Btt::new(self.cfg.thynvm.btt_entries);
-                    self.ptt = Ptt::new(
-                        self.cfg.thynvm.ptt_entries.min(self.cfg.thynvm.dram_pages() as usize),
-                    );
-                    self.epoch.completed = 0;
-                    self.security.as_mut().expect("invariant: secure mode is on in this block").reset();
-                    self.stats.security.unrecoverable += 1;
-                    self.report(Error::IntegrityUnrecoverable { epoch: self.epoch.active_epoch });
-                    verdict.unrecoverable = true;
-                }
-                steps.push((RecoveryStep::IntegrityFallback, t));
-            }
-        }
 
         // Step 4 (§4.5 step 1): replay BTT/PTT metadata from the backup
         // region, dropping uncommitted working copies. Re-running this on
@@ -2766,9 +1531,8 @@ impl ThyNvm {
         self.btt.rebuild_quiescent_hints();
         let meta_bytes = (self.btt.len() + self.ptt.len()) as u64 * META_ENTRY_BYTES
             + self.cfg.thynvm.cpu_state_bytes;
-        let meta_len = u32::try_from(meta_bytes.max(64).min(u64::from(u32::MAX)))
-            .expect("invariant: value clamped to u32::MAX on the previous line");
-        t = self.recovery_read(self.space.backup(0), meta_len, t, remaps);
+        let meta_len = u32::try_from(meta_bytes.max(64)).unwrap_or(u32::MAX);
+        t = self.data_read(self.space.backup(0), meta_len, t, Read::Recovery(remaps));
         self.recovery_interrupt(RecoveryStep::ReplayMetadata, t, *verdict)?;
         steps.push((RecoveryStep::ReplayMetadata, t));
 
@@ -2789,7 +1553,7 @@ impl ThyNvm {
         for (page, slot, clast) in pages {
             let region = clast.unwrap_or(Region::B);
             let src = self.space.checkpoint_page(region, page);
-            t = self.recovery_read(src, PAGE_BYTES as u32, t, remaps);
+            t = self.data_read(src, PAGE_BYTES as u32, t, Read::Recovery(remaps));
             let off = self.space.working_offset(self.space.working_page(slot));
             t = self.working_write(off, PAGE_BYTES as u32, t);
             restored += 1;
@@ -3015,19 +1779,19 @@ impl ThyNvm {
         for (block, slot) in buffered {
             let src = self.space.working_block(slot, self.ptt.capacity());
             let off = self.space.working_offset(src);
-            let read_done = self.working_read(off, BLOCK_BYTES as u32, ckpt_start);
-            if !self.dram_poison_free(off, BLOCK_BYTES) {
-                // Poison must never reach NVM: drop the block's dirty data
-                // instead of draining it.
-                let q_done = self.quarantine_buffered_block(block, off, read_done);
-                phase1_done = phase1_done.max(q_done);
-                continue;
-            }
+            let read_done = match self.working_read(off, BLOCK_BYTES as u32, ckpt_start, Poison::Buffered(block)) {
+                Ok(t) => t,
+                // Poison must never reach NVM: the block's dirty data was
+                // dropped instead of drained.
+                Err(q_done) => {
+                    phase1_done = phase1_done.max(q_done);
+                    continue;
+                }
+            };
             let entry = self.btt.get(block).expect("iterated above");
             let region = entry.clast_region.map_or(Region::A, Region::other);
-            let dst = self.remapped(self.space.checkpoint_block(region, block));
-            let (write_done, resume) =
-                self.nvm_write(dst, NvmWrite::Writeback { bytes: BLOCK_BYTES }, read_done);
+            let dst = self.space.checkpoint_block(region, block);
+            let (write_done, resume) = self.on_write(dst, Write::Writeback { bytes: BLOCK_BYTES }, read_done);
             writeback_done.push(write_done);
             phase1_done = phase1_done.max(write_done).max(resume);
             let entry = self.btt.get_mut(block).expect("present");
@@ -3050,9 +1814,9 @@ impl ThyNvm {
         let btt_bytes = (self.btt.dirty_entries().max(1) as u64) * META_ENTRY_BYTES + meta_crc;
         // §4.4: checkpoint data must be durable before the metadata that
         // references it.
-        let meta_start = self.wpq_fence(phase1_done.max(resume_after_flush));
+        let meta_start = self.on_ordering_point(phase1_done.max(resume_after_flush));
         let (btt_done, _) =
-            self.nvm_write(self.space.backup(8192), NvmWrite::Metadata { bytes: btt_bytes }, meta_start);
+            self.on_write(self.space.backup(8192), Write::Metadata { bytes: btt_bytes }, meta_start);
 
         // Capture block versions: working copies in NVM become pending
         // checkpoints (no data movement, §3.2).
@@ -3071,23 +1835,24 @@ impl ThyNvm {
         for page in dirty_pages {
             let slot = self.ptt.get(page).expect("dirty page listed").slot;
             let off = self.space.working_offset(self.space.working_page(slot));
-            let read_done = self.working_read(off, PAGE_BYTES as u32, btt_done);
-            if !self.dram_poison_free(off, PAGE_BYTES) {
-                // An uncorrectable DRAM error sits under this page's dirty
-                // data: writing it back would make the corruption durable.
-                // Quarantine instead — the dirty epoch is dropped, the page
-                // rolls back to `C_last` and leaves the page scheme.
-                let q_done = self.quarantine_page(page, read_done);
-                phase3_done = phase3_done.max(q_done);
-                continue;
-            }
+            let read_done = match self.working_read(off, PAGE_BYTES as u32, btt_done, Poison::DirtyPage(page)) {
+                Ok(t) => t,
+                // An uncorrectable DRAM error sat under this page's dirty
+                // data: writing it back would have made the corruption
+                // durable. It was quarantined instead — the dirty epoch is
+                // dropped, the page rolls back to `C_last` and leaves the
+                // page scheme.
+                Err(q_done) => {
+                    phase3_done = phase3_done.max(q_done);
+                    continue;
+                }
+            };
             let entry = self.ptt.get_mut(page).expect("dirty page listed");
             let target = entry.clast_region.map_or(Region::A, Region::other);
             entry.dirty = false;
             entry.frozen = true;
-            let dst = self.remapped(self.space.checkpoint_page(target, page));
-            let (write_done, resume) =
-                self.nvm_write(dst, NvmWrite::Writeback { bytes: PAGE_BYTES }, read_done);
+            let dst = self.space.checkpoint_page(target, page);
+            let (write_done, resume) = self.on_write(dst, Write::Writeback { bytes: PAGE_BYTES }, read_done);
             writeback_done.push(write_done);
             phase3_done = phase3_done.max(write_done).max(resume);
             self.pending_pages.insert(page, PendingPage { target });
@@ -3098,7 +1863,7 @@ impl ThyNvm {
         // completion flag.
         let ptt_bytes = (self.ptt.len().max(1) as u64) * META_ENTRY_BYTES + meta_crc;
         let (mut bg, _) =
-            self.nvm_write(self.space.backup(16384), NvmWrite::Metadata { bytes: ptt_bytes }, phase3_done);
+            self.on_write(self.space.backup(16384), Write::Metadata { bytes: ptt_bytes }, phase3_done);
         bg = bg.max(self.nvm_wq.drain_time(bg));
 
         // (4b) Secure mode: persist the dirty encryption counters, the
@@ -3108,48 +1873,37 @@ impl ThyNvm {
         // This rides the same discipline as the BTT/PTT images: a crash
         // anywhere in here leaves the commit flag unset and the previous
         // epoch's sealed metadata intact.
-        if self.security.is_some() {
-            let receipt = self.security.as_mut().expect("invariant: secure mode is on in this block").persist();
+        if let Some(receipt) = self.on_commit(Commit::Persist) {
             if receipt.counter_entries > 0 {
                 let ctr_bytes = receipt.counter_entries as u64 * META_ENTRY_BYTES;
-                (bg, _) = self.nvm_write(
-                    self.space.security_counters(0),
-                    NvmWrite::SecurityTable { bytes: ctr_bytes },
-                    bg,
-                );
-                self.stats.security.counter_persists += 1;
-                self.stats.security.counter_bytes += ctr_bytes;
+                (bg, _) = self.on_write(self.space.security_counters(0), Write::SecurityTable { bytes: ctr_bytes }, bg);
                 let tree_bytes = receipt.tree_nodes * META_ENTRY_BYTES;
-                (bg, _) =
-                    self.nvm_write(self.space.security_tree(0), NvmWrite::SecurityTable { bytes: tree_bytes }, bg);
-                self.stats.security.tree_node_persists += receipt.tree_nodes;
-                self.stats.security.tree_bytes += tree_bytes;
+                (bg, _) = self.on_write(self.space.security_tree(0), Write::SecurityTable { bytes: tree_bytes }, bg);
             }
             // §4.4: counter table and tree nodes must be durable before
             // the root that authenticates them.
-            bg = self.wpq_fence(bg);
+            bg = self.on_ordering_point(bg);
             // The 64 B root + MAC record persists every round: it binds
             // the table generation, which is what makes a rolled-back
             // table (counter-replay attack) detectable.
-            (bg, _) = self.nvm_write(self.space.security_root(), NvmWrite::SecurityRoot, bg);
-            self.stats.security.root_persists += 1;
+            (bg, _) = self.on_write(self.space.security_root(), Write::SecurityRoot, bg);
         }
 
         // (4c) Health ladder: persist the current rung as a 64 B record
         // just before the commit record, riding the same discipline — a
         // crash before the commit flag leaves the previous epoch's sealed
         // rung in effect, exactly like every other piece of metadata.
-        let health_rung = self.health_mon.as_ref().map(HealthMonitor::rung);
+        let health_rung = self.health_monitor().map(HealthMonitor::rung);
         if health_rung.is_some() {
-            (bg, _) = self.nvm_write(self.space.health_record(), NvmWrite::Metadata { bytes: 64 }, bg);
+            (bg, _) = self.on_write(self.space.health_record(), Write::Metadata { bytes: 64 }, bg);
             self.stats.health.rung_persists += 1;
         }
 
         // §4.4: everything the commit record covers — data, metadata,
         // security and health records — must be durable before it.
-        bg = self.wpq_fence(bg);
+        bg = self.on_ordering_point(bg);
         let commit_start = bg;
-        (bg, _) = self.nvm_write(self.space.backup(0), NvmWrite::CommitRecord, bg);
+        (bg, _) = self.on_write(self.space.backup(0), Write::CommitRecord, bg);
 
         // Functional capture: the ending epoch's writes are now "being
         // checkpointed"; they commit when the job retires. Intermediate
@@ -3231,6 +1985,7 @@ impl ThyNvm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thynvm_types::FaultKind;
 
     fn small() -> ThyNvm {
         ThyNvm::new(SystemConfig::small_test())
@@ -3506,6 +2261,7 @@ mod tests {
         sys.store_bytes(PhysAddr::new(0), b"lost", Cycle::ZERO);
         let report = sys.crash_and_recover(Cycle::new(10));
         assert_eq!(report.recovered_checkpoints, 0);
+        assert_eq!(sys.stats().wq_writes_lost, 1, "the store's queued NVM write died with power");
         let mut buf = [9u8; 4];
         sys.load_bytes(PhysAddr::new(0), &mut buf, Cycle::new(20));
         assert_eq!(buf, [0u8; 4], "nothing was ever made durable");
@@ -5490,46 +4246,46 @@ mod tests {
         let table = [
             // Data: wear + encryption on every touched block; only
             // checkpoint writebacks carry CRCs; migrations bypass the buffer.
-            (NvmWrite::Store { bytes: 64, class: NvmWriteClass::Cpu },
+            (Write::Store { bytes: 64, class: NvmWriteClass::Cpu },
              WriteLedger { cpu: 64, device: 64, encrypted: 1, wear: 1, counters: 1, enqueued: 1, held: 1, ..zero }),
-            (NvmWrite::Store { bytes: 64, class: NvmWriteClass::Checkpoint },
+            (Write::Store { bytes: 64, class: NvmWriteClass::Checkpoint },
              WriteLedger { ckpt: 64, device: 64, encrypted: 1, wear: 1, counters: 1, enqueued: 1, held: 1, ..zero }),
-            (NvmWrite::Working { bytes: 64 },
+            (Write::Working { bytes: 64 },
              WriteLedger { cpu: 64, device: 64, ..zero }),
-            (NvmWrite::Writeback { bytes: PAGE_BYTES },
+            (Write::Writeback { bytes: PAGE_BYTES },
              WriteLedger { ckpt: 4096, device: 4096, crc_blocks: 64, encrypted: 64, wear: 1, counters: 64, enqueued: 1, held: 1, ..zero }),
-            (NvmWrite::Migration { bytes: PAGE_BYTES },
+            (Write::Migration { bytes: PAGE_BYTES },
              WriteLedger { migration: 4096, device: 4096, encrypted: 64, wear: 1, counters: 64, ..zero }),
-            (NvmWrite::RemapPayload,
+            (Write::RemapPayload,
              WriteLedger { migration: 64, device: 64, encrypted: 1, wear: 1, counters: 1, enqueued: 1, held: 1, ..zero }),
             // WAL records: CRC-sealed, no wear or encryption.
-            (NvmWrite::Wal,
+            (Write::Wal,
              WriteLedger { migration: 64, device: 64, crc_blocks: 1, enqueued: 1, held: 1, ..zero }),
-            (NvmWrite::WalUnbuffered,
+            (Write::WalUnbuffered,
              WriteLedger { migration: 64, device: 64, crc_blocks: 1, ..zero }),
             // Metadata: at least one 64 B burst on the device; CRC over the
             // recorded bytes for BTT/PTT/health, none for security tables.
-            (NvmWrite::Metadata { bytes: 8 },
+            (Write::Metadata { bytes: 8 },
              WriteLedger { ckpt: 8, device: 64, crc_blocks: 1, enqueued: 1, held: 1, ..zero }),
-            (NvmWrite::Metadata { bytes: 200 },
+            (Write::Metadata { bytes: 200 },
              WriteLedger { ckpt: 200, device: 200, crc_blocks: 4, enqueued: 1, held: 1, ..zero }),
-            (NvmWrite::SecurityTable { bytes: 200 },
+            (Write::SecurityTable { bytes: 200 },
              WriteLedger { ckpt: 200, device: 200, enqueued: 1, held: 1, ..zero }),
-            (NvmWrite::SecurityRoot,
+            (Write::SecurityRoot,
              WriteLedger { ckpt: 64, device: 64, encrypted: 1, enqueued: 1, held: 1, ..zero }),
             // The commit record: 64 B on the device, 1 B in the ledger, a
             // checksummed commit marker that holds no data entry.
-            (NvmWrite::CommitRecord,
+            (Write::CommitRecord,
              WriteLedger { ckpt: 1, device: 64, crc_blocks: 1, enqueued: 1, ..zero }),
         ];
         let mut t = Cycle::ZERO;
         for (i, (kind, want)) in table.into_iter().enumerate() {
             // One fresh row per write, and a drained buffer so the commit
             // marker's ordering audit sees a correctly fenced persist.
-            t = sys.wpq_fence(t);
+            t = sys.on_ordering_point(t);
             let hw = HwAddr::new((i as u64 + 1) << 20);
             let before = WriteLedger::of(&sys);
-            let (done, resume) = sys.nvm_write(hw, kind, t);
+            let (done, resume) = sys.on_write(hw, kind, t);
             assert_eq!(WriteLedger::of(&sys).since(before), want, "{kind:?}");
             assert!(done > t && resume >= t, "{kind:?}");
             t = done;
@@ -5538,8 +4294,155 @@ mod tests {
 
         // A commit record pushed over held data is the §4.4 violation the
         // marker audits.
-        let (t, _) = sys.nvm_write(HwAddr::new(1 << 30), NvmWrite::Wal, t);
-        let _ = sys.nvm_write(HwAddr::new(1 << 31), NvmWrite::CommitRecord, t);
+        let (t, _) = sys.on_write(HwAddr::new(1 << 30), Write::Wal, t);
+        let _ = sys.on_write(HwAddr::new(1 << 31), Write::CommitRecord, t);
         assert!(matches!(sys.take_ordering_error(), Some(Error::UnfencedCommit { pending: 1, .. })));
+    }
+
+    /// The read-side ledger `read_paths_move_exactly_their_counters`
+    /// follows: device reads, CRC-checked blocks, the two media retry
+    /// ledgers, crypto work, remaps, and whether a media error was kept.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct ReadLedger {
+        reads: u64,
+        crc_blocks: u64,
+        media_attempts: u64,
+        recovery_attempts: u64,
+        crypto: Cycle,
+        remaps: usize,
+        media_errors: u64,
+    }
+
+    impl ReadLedger {
+        /// Samples `sys`, taking its media error.
+        fn of(sys: &mut ThyNvm) -> Self {
+            let media_errors = u64::from(sys.take_media_error().is_some());
+            let s = sys.stats();
+            Self {
+                reads: s.nvm_reads,
+                crc_blocks: s.media.crc_checked_blocks,
+                media_attempts: s.retry.media_attempts,
+                recovery_attempts: s.retry.recovery_attempts,
+                crypto: s.security.crypto_cycles,
+                remaps: sys.bad_block_remaps(),
+                media_errors,
+            }
+        }
+
+        fn since(self, before: Self) -> Self {
+            Self {
+                reads: self.reads - before.reads,
+                crc_blocks: self.crc_blocks - before.crc_blocks,
+                media_attempts: self.media_attempts - before.media_attempts,
+                recovery_attempts: self.recovery_attempts - before.recovery_attempts,
+                crypto: self.crypto - before.crypto,
+                remaps: self.remaps - before.remaps,
+                media_errors: self.media_errors - before.media_errors,
+            }
+        }
+    }
+
+    #[test]
+    fn read_paths_move_exactly_their_counters() {
+        // Media integrity and secure mode on, no ambient fault: each run
+        // below differs from its fault-free twin only by an armed fault,
+        // so the difference between their ledgers is exactly what the
+        // read path did about it.
+        let mut cfg = SystemConfig::small_test();
+        cfg.media = thynvm_types::MediaFaultConfig::hardened();
+        cfg.security = thynvm_types::SecurityConfig::hardened();
+        let retries = u64::from(cfg.media.max_read_retries);
+        let crypto_block = Cycle::from_ns(cfg.security.crypto_ns_per_block + cfg.security.mac_ns_per_block);
+        let zero = ReadLedger {
+            reads: 0,
+            crc_blocks: 0,
+            media_attempts: 0,
+            recovery_attempts: 0,
+            crypto: Cycle::ZERO,
+            remaps: 0,
+            media_errors: 0,
+        };
+        // One committed 64 B block, served from its NVM checkpoint copy.
+        let committed = |cfg: SystemConfig| {
+            let mut sys = ThyNvm::new(cfg);
+            let t = sys.store_bytes(PhysAddr::new(0), &[7; 64], Cycle::ZERO);
+            let t = sys.force_checkpoint(t);
+            let t = sys.drain(t);
+            (sys, t)
+        };
+        // A remap writes a CRC-sealed WAL intent and seal (two CRC blocks)
+        // and one encrypted 64 B payload.
+        let remap = ReadLedger { crc_blocks: 2, crypto: crypto_block, remaps: 1, ..zero };
+
+        // Load path: every retry is charged to the media ledger; a block
+        // that keeps failing is remapped and its error kept.
+        let load = |flips: u32| {
+            let (mut sys, t) = committed(cfg);
+            if let Some(f) = sys.fault_model_mut() {
+                f.arm_transient_flips(flips);
+            }
+            sys.load_bytes(PhysAddr::new(0), &mut [0; 64], t);
+            ReadLedger::of(&mut sys)
+        };
+        let clean = load(0);
+        assert_eq!(
+            load(1).since(clean),
+            ReadLedger { reads: 1, crc_blocks: 1, media_attempts: 1, ..zero },
+            "a transient heals on the first retry"
+        );
+        assert_eq!(
+            load(1 + retries as u32).since(clean),
+            ReadLedger {
+                reads: retries,
+                crc_blocks: retries + remap.crc_blocks,
+                media_attempts: retries,
+                media_errors: 1,
+                ..remap
+            },
+            "exhausted retries remap the block and keep the error"
+        );
+
+        // Recovery path: the first recovery read (the commit record) takes
+        // the flips; its retries are charged to the recovery ledger, and
+        // an exhausted read is remapped without an error report.
+        let recover = |flips: u32| {
+            let (mut sys, t) = committed(cfg);
+            if let Some(f) = sys.fault_model_mut() {
+                f.arm_transient_flips(flips);
+            }
+            let _ = sys.crash_and_recover(t);
+            ReadLedger::of(&mut sys)
+        };
+        let clean = recover(0);
+        assert_eq!(
+            recover(1).since(clean),
+            ReadLedger { reads: 1, crc_blocks: 1, recovery_attempts: 1, ..zero },
+            "a transient heals on the first retry"
+        );
+        assert_eq!(
+            recover(1 + retries as u32).since(clean),
+            ReadLedger {
+                reads: retries,
+                crc_blocks: retries + remap.crc_blocks,
+                recovery_attempts: retries,
+                ..remap
+            },
+            "exhausted retries remap the block silently"
+        );
+
+        // Scrub path: a cell stuck by the block's first write is verified
+        // (one read, one CRC block) and remapped at job retirement, with no
+        // retry, no decryption and no error.
+        let scrubbed = |scrub: bool| {
+            let mut cfg = cfg;
+            cfg.media.stuck_at_threshold = 1;
+            cfg.media.scrub = scrub;
+            ReadLedger::of(&mut committed(cfg).0)
+        };
+        assert_eq!(
+            scrubbed(true).since(scrubbed(false)),
+            ReadLedger { reads: 1, crc_blocks: 1 + remap.crc_blocks, ..remap },
+            "the scrubber verifies and remaps the stuck block"
+        );
     }
 }

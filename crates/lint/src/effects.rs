@@ -6,10 +6,10 @@
 //!
 //! * **Device writes** — `nvm.access(<region>, AccessKind::Write, ..)`,
 //!   or a call to the controller's write primitive
-//!   `.nvm_write(<region>, <kind>, ..)`, where `<region>` is an
+//!   `.on_write(<region>, <kind>, ..)`, where `<region>` is an
 //!   `AddressSpace` region constructor, either inline
 //!   (`self.space.backup(8192)`) or through a local binding
-//!   (`let wal = self.space.backup_wal(seq); .. nvm_write(wal, ..)`).
+//!   (`let wal = self.space.backup_wal(seq); .. on_write(wal, ..)`).
 //!   `dram.access(.., Write, ..)` is a working-region (volatile) write.
 //!   Reads carry no effect; addresses the pass cannot resolve to a tracked
 //!   region (checkpoint data regions, home region, raw `HwAddr::new`
@@ -70,10 +70,10 @@ pub fn region_name(bit: u16) -> &'static str {
     LABELS.iter().find(|(b, _)| *b == bit).map_or("?", |(_, n)| n)
 }
 
-/// The controller's NVM write primitive (`ThyNvm::nvm_write`): a call whose
+/// The controller's NVM write primitive (the `ThyNvm::on_write` hook): a call whose
 /// first argument resolves to a region seeds a device write exactly like
 /// `nvm.access(<region>, AccessKind::Write, ..)`.
-const WRITE_PRIMITIVE: &str = "nvm_write";
+const WRITE_PRIMITIVE: &str = "on_write";
 
 /// `AddressSpace` region constructors → effect bit. `backup(0)` is the
 /// commit record — the 64 B at offset zero of the backup region whose
@@ -120,7 +120,7 @@ pub struct FnFacts {
     pub wal_begins: Vec<usize>,
     /// Token indices of WAL seals (`wal_seals +=` counter bumps).
     pub wal_seals: Vec<usize>,
-    /// Token indices of persist-buffer fences (`.wpq_fence(..)` /
+    /// Token indices of persist-buffer fences (`.on_ordering_point(..)` /
     /// `.fence(..)` calls) — the §4.4 drain points L10 requires before
     /// commit-record and security-root persists.
     pub fences: Vec<usize>,
@@ -228,9 +228,9 @@ fn seed_fn(f: &FileIndex, item: usize) -> FnFacts {
         if name == "wal_seals" && toks.get(i + 1).is_some_and(|t| t.is_punct("+=")) {
             facts.wal_seals.push(i);
         }
-        // Persist-buffer fence: the controller's `.wpq_fence(..)` wrapper or
+        // Persist-buffer fence: the controller's `.on_ordering_point(..)` hook or
         // a direct `.fence(..)` on the buffer — either drains the WPQ.
-        if (name == "wpq_fence" || name == "fence")
+        if (name == "on_ordering_point" || name == "fence")
             && i >= 1
             && toks[i - 1].is_punct(".")
             && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
@@ -253,7 +253,7 @@ fn seed_fn(f: &FileIndex, item: usize) -> FnFacts {
         }
 
         // Device access: `nvm.access(..)` / `dram.access(..)`, or a call to
-        // the controller's write primitive `.nvm_write(<region>, ..)`,
+        // the controller's write primitive `.on_write(<region>, ..)`,
         // which is always a write.
         let primitive = name == WRITE_PRIMITIVE && i >= 1 && toks[i - 1].is_punct(".");
         if (primitive || (name == "access" && crate::graph::is_device_receiver(f, i)))
@@ -485,7 +485,7 @@ mod tests {
     fn fence_calls_are_seeded_in_token_order() {
         let src = concat!(
             "fn round(&mut self, t: u64) -> u64 {\n",
-            "    let t = self.wpq_fence(t);\n",
+            "    let t = self.on_ordering_point(t);\n",
             "    let t = self.nvm.access(self.space.backup(0), AccessKind::Write, 64, t);\n",
             "    let t = p.fence(t);\n",
             "    fence(t); // free fn: not a drain call, not seeded\n",

@@ -56,7 +56,8 @@ impl Report {
 }
 
 /// Collects every `.rs` file under `root` (workspace-relative, sorted),
-/// skipping [`SKIP_DIRS`].
+/// skipping build output, vendored crates, VCS metadata, lint fixtures
+/// and hidden directories.
 pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];

@@ -11,11 +11,11 @@
 //! | L7   | Commit-record persist is the *last* backup/security effect of a checkpoint-commit body — nothing with those effects follows the seal |
 //! | L8   | Every backup-region write reachable from a `recover*`/`replay`/`redo` entry point is WAL-bracketed: `backup_wal` intent before, WAL seal after |
 //! | L9   | Concurrency-readiness: no `static mut`/`thread_local!`/`Cell`/`RefCell`/`UnsafeCell` in `crates/core`+`crates/mem` production code; store effects only behind `&mut self` |
-//! | L10  | Commit-record and security-root persists in `crates/core` are fence-dominated: a persist-buffer drain (`wpq_fence`) precedes them in the same body |
+//! | L10  | Commit-record and security-root persists in `crates/core` are fence-dominated: a persist-buffer drain (`on_ordering_point`) precedes them in the same body |
 //!
 //! L1–L6 work on the token stream plus the [`FileIndex`] item index — no
 //! type information. L7–L10 additionally consult the workspace
-//! [`CallGraph`](crate::graph::CallGraph) and the transitive persistence
+//! [`crate::graph::CallGraph`] and the transitive persistence
 //! effects inferred by [`crate::effects`]. That makes them conservative
 //! pattern matchers; the escape hatch for a justified exception is
 //! `lint.baseline`, never an in-code `#[allow]`.
@@ -62,11 +62,13 @@ pub(crate) const STORE_MUTATORS: &[&str] = &["write", "write_words", "copy_withi
 const L1_ALLOW: &[(&str, &[&str])] = &[
     // Commit point of a retired checkpoint job (`commit_job`, shared by
     // normal retirement and the crash-time WPQ early-commit path);
-    // CPU-visible store-through; DRAM-poison quarantine rolling visible
-    // bytes back to the checkpoint; tamper injection modeling an
-    // attacker's out-of-band NVM writes (the bypass of the sealed path is
-    // the point — recovery must catch it).
-    ("crates/core/src/controller.rs", &["retire_job_if_done", "commit_job", "store_bytes", "quarantine_rollback", "apply_tamper"]),
+    // CPU-visible store-through.
+    ("crates/core/src/controller.rs", &["retire_job_if_done", "commit_job", "store_bytes"]),
+    // The fault-domain seam: DRAM-poison quarantine rolling visible bytes
+    // back to the checkpoint; tamper injection modeling an attacker's
+    // out-of-band NVM writes (the bypass of the sealed path is the point —
+    // recovery must catch it).
+    ("crates/core/src/domains.rs", &["quarantine_rollback", "apply_tamper"]),
     // Journal flush (redo applied under the commit record) + buffer fill.
     ("crates/baselines/src/journal.rs", &["flush", "store_bytes", "power_fail"]),
     // Shadow-paging flush, copy-on-write buffer fill, volatility model.
@@ -750,7 +752,7 @@ fn l10_scope(rel_path: &str) -> bool {
 
 /// L10: fence-dominated commit persists. Every direct commit-record or
 /// security-root write in `crates/core` production code must be preceded,
-/// in the same body, by a persist-buffer drain (`.wpq_fence(..)` or a
+/// in the same body, by a persist-buffer drain (`.on_ordering_point(..)` or a
 /// direct `.fence(..)` on the buffer). The dynamic twin of this rule is
 /// the controller's `Error::UnfencedCommit` audit; this static form
 /// catches the ordering bug before any crash test has to.
@@ -770,7 +772,7 @@ fn rule_l10(files: &[FileIndex], graph: &CallGraph, facts: &[FnFacts], out: &mut
                     line: w.line,
                     msg: format!(
                         "unfenced `{}` persist in `{name}` — drain the persist buffer \
-                         (`wpq_fence`) before the record that covers buffered writes lands",
+                         (`on_ordering_point`) before the record that covers buffered writes lands",
                         effects::region_name(w.region)
                     ),
                 });
@@ -1100,7 +1102,7 @@ mod tests {
             "    self.nvm.access(self.space.backup(0), AccessKind::Write, 64, t);\n",
             "}\n",
             "fn seal_fenced(&mut self, t: u64) {\n",
-            "    let t = self.wpq_fence(t);\n",
+            "    let t = self.on_ordering_point(t);\n",
             "    self.nvm.access(self.space.backup(0), AccessKind::Write, 64, t);\n",
             "}\n",
             "fn root_unfenced(&mut self, t: u64) {\n",

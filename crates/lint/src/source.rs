@@ -18,7 +18,7 @@ pub struct FnItem {
     /// Token index of the `fn` keyword; `tokens[sig_start..body_start]` is
     /// the signature (name, generics, parameters, return type).
     pub sig_start: usize,
-    /// Token index of the body's opening `{` (tokens[body_start] == `{`).
+    /// Token index of the body's opening `{` (`tokens[body_start] == {`).
     /// `None` for bodiless trait-method declarations.
     pub body_start: Option<usize>,
     /// Token index one past the body's closing `}`.

@@ -13,7 +13,7 @@ pub fn root_without_fence(&mut self, t: u64) -> u64 {
 /// Near-miss: the fence dominates the seal — clean.
 pub fn seal_with_fence(&mut self, t: u64) -> u64 {
     let t = self.nvm.access(self.space.backup(8192), AccessKind::Write, 64, t);
-    let t = self.wpq_fence(t); // fence
+    let t = self.on_ordering_point(t); // fence
     self.nvm.access(self.space.backup(0), AccessKind::Write, 64, t) // seal
 }
 

@@ -4,14 +4,14 @@
 
 pub fn checkpoint_commit(&mut self, t: u64) -> u64 {
     let t = self.nvm.access(self.space.backup(8192), AccessKind::Write, 64, t);
-    let t = self.wpq_fence(t);
+    let t = self.on_ordering_point(t);
     let t = self.nvm.access(self.space.backup(0), AccessKind::Write, 64, t);
     let t = self.nvm.access(self.space.backup(16384), AccessKind::Write, 64, t);
     self.stamp_root(t)
 }
 
 fn stamp_root(&mut self, t: u64) -> u64 {
-    let t = self.wpq_fence(t);
+    let t = self.on_ordering_point(t);
     self.nvm.access(self.space.security_root(), AccessKind::Write, 64, t)
 }
 
@@ -19,7 +19,7 @@ fn stamp_root(&mut self, t: u64) -> u64 {
 /// seal are post-commit-legal.
 pub fn checkpoint_commit_clean(&mut self, t: u64) -> u64 {
     let t = self.nvm.access(self.space.backup(8192), AccessKind::Write, 64, t);
-    let t = self.wpq_fence(t);
+    let t = self.on_ordering_point(t);
     let t = self.nvm.access(self.space.backup(0), AccessKind::Write, 64, t);
     let t = self.nvm.access(self.space.backup(0), AccessKind::Read, 64, t);
     self.remap_spare(t)

@@ -209,7 +209,7 @@ fn l10_mutation_moving_the_fence_after_the_seal_is_caught() {
 fn write_primitive_calls_seed_l8_and_l10() {
     let diags =
         lint_one("crates/core/src/primitive.rs", include_str!("fixtures/write_primitive.rs"));
-    // Only the region-constructor argument of `nvm_write(..)` reveals what
+    // Only the region-constructor argument of `on_write(..)` reveals what
     // these bodies write: the unfenced commit record (line 8, L10) and the
     // unbracketed PTT image on the `recover_tables` path (line 12, L8). The
     // fenced and the WAL-bracketed near-misses are silent.

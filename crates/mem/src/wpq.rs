@@ -231,9 +231,10 @@ impl PersistBuffer {
         self.drain_to(issue);
         let resume = if self.pending_total >= self.cfg.capacity as usize {
             // Full: stall until the earliest in-flight entry retires. The
-            // stall is charged to the same counter as fence stalls — the
-            // ledger's `fence_stall_cycles` covers every cycle the issuer
-            // spent waiting on the buffer, whichever primitive blocked it.
+            // wait, measured from this push's own issue cycle, is added to
+            // the same counter as fence waits: `fence_stall_cycles` sums
+            // per-operation waits, so pushes issued at the same cycle each
+            // add their whole (overlapping) wait.
             let earliest = self
                 .banks
                 .iter()
@@ -419,6 +420,23 @@ mod tests {
             "ledger must conserve: {s:?}"
         );
         assert_eq!(s.outstanding(), w.pending_total as u64);
+    }
+
+    #[test]
+    fn pushes_into_a_full_buffer_are_each_charged_their_whole_wait() {
+        let cfg = PersistBufferConfig { capacity: 1, ..armed() };
+        let mut w = PersistBuffer::new(cfg, geom());
+        w.push(HwAddr::new(0), &[], Cycle::ZERO, Cycle::new(100), WpqKind::Data);
+        // Two pushes issued at cycle 10 into the full one-entry buffer: the
+        // first waits for the resident entry (90 cycles), the second for
+        // the first (140 cycles), both measured from cycle 10.
+        let issue = Cycle::new(10);
+        assert_eq!(w.push(HwAddr::new(0x40), &[], issue, Cycle::new(150), WpqKind::Data), Cycle::new(100));
+        assert_eq!(w.push(HwAddr::new(0x80), &[], issue, Cycle::new(200), WpqKind::Data), Cycle::new(150));
+        // The counter sums both waits (230) although only 140 cycles passed
+        // between the shared issue cycle and the last resume.
+        assert_eq!(w.stats().fence_stall_cycles, Cycle::new(90 + 140));
+        conservation_holds(&w);
     }
 
     #[test]

@@ -115,19 +115,6 @@ impl Histogram {
             .map(|(k, &n)| (if k == 0 { 0 } else { 1u64 << k }, n))
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
     /// Renders a compact ASCII bar chart of the distribution.
     pub fn render(&self, width: usize) -> String {
         use std::fmt::Write as _;
@@ -213,22 +200,6 @@ mod tests {
         let p99 = h.quantile(0.99);
         assert!(p50 <= p90 && p90 <= p99);
         assert!(p50 >= 256, "median of 1..1000 in the 512-bucket: {p50}");
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = Histogram::new();
-        a.record(10);
-        let mut b = Histogram::new();
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), 10);
-        assert_eq!(a.max(), 1000);
-        // Merging an empty histogram changes nothing.
-        let before = a.clone();
-        a.merge(&Histogram::new());
-        assert_eq!(a, before);
     }
 
     #[test]

@@ -236,24 +236,6 @@ impl MediaStats {
     pub fn any(&self) -> bool {
         *self != Self::default()
     }
-
-    /// Merges another record into this one (summing all fields).
-    pub fn merge(&mut self, other: &MediaStats) {
-        self.bit_flips += other.bit_flips;
-        self.stuck_faults += other.stuck_faults;
-        self.torn_writes += other.torn_writes;
-        self.meta_corruptions += other.meta_corruptions;
-        self.retries += other.retries;
-        self.remaps += other.remaps;
-        self.scrub_repairs += other.scrub_repairs;
-        self.integrity_fallbacks += other.integrity_fallbacks;
-        self.silent_corruptions += other.silent_corruptions;
-        self.spare_exhausted += other.spare_exhausted;
-        self.wal_seals += other.wal_seals;
-        self.wal_redos += other.wal_redos;
-        self.crc_checked_blocks += other.crc_checked_blocks;
-        self.crc_check_cycles += other.crc_check_cycles;
-    }
 }
 
 /// DRAM fault-domain counters: SEC-DED ECC corrections, poisoned 64 B
@@ -312,19 +294,6 @@ impl DramStats {
     #[must_use]
     pub fn any(&self) -> bool {
         *self != Self::default()
-    }
-
-    /// Merges another record into this one (summing all fields).
-    pub fn merge(&mut self, other: &DramStats) {
-        self.corrected_flips += other.corrected_flips;
-        self.poisoned_blocks += other.poisoned_blocks;
-        self.poison_refetched += other.poison_refetched;
-        self.refetch_retries += other.refetch_retries;
-        self.poison_dropped += other.poison_dropped;
-        self.poison_overwritten += other.poison_overwritten;
-        self.poison_cleared_by_crash += other.poison_cleared_by_crash;
-        self.quarantined_pages += other.quarantined_pages;
-        self.quarantine_dropped_bytes += other.quarantine_dropped_bytes;
     }
 }
 
@@ -426,26 +395,6 @@ impl SecurityStats {
     pub fn any(&self) -> bool {
         *self != Self::default()
     }
-
-    /// Merges another record into this one (summing all fields).
-    pub fn merge(&mut self, other: &SecurityStats) {
-        self.blocks_encrypted += other.blocks_encrypted;
-        self.blocks_verified += other.blocks_verified;
-        self.counter_persists += other.counter_persists;
-        self.counter_bytes += other.counter_bytes;
-        self.tree_node_persists += other.tree_node_persists;
-        self.tree_bytes += other.tree_bytes;
-        self.root_persists += other.root_persists;
-        self.counters_replayed += other.counters_replayed;
-        self.crypto_cycles += other.crypto_cycles;
-        self.tampers_injected += other.tampers_injected;
-        self.tampers_detected += other.tampers_detected;
-        self.classified_tamper += other.classified_tamper;
-        self.classified_torn += other.classified_torn;
-        self.classified_media += other.classified_media;
-        self.verify_fallbacks += other.verify_fallbacks;
-        self.unrecoverable += other.unrecoverable;
-    }
 }
 
 /// One rung of the graceful-degradation health ladder.
@@ -523,18 +472,6 @@ impl HealthStats {
     pub fn any(&self) -> bool {
         *self != Self::default()
     }
-
-    /// Merges another record into this one (summing all fields).
-    pub fn merge(&mut self, other: &HealthStats) {
-        self.evaluations += other.evaluations;
-        self.demotions += other.demotions;
-        self.promotions += other.promotions;
-        self.stores_rejected += other.stores_rejected;
-        self.emergency_checkpoints += other.emergency_checkpoints;
-        self.scrub_deferrals += other.scrub_deferrals;
-        self.rung_persists += other.rung_persists;
-        self.rehydrations += other.rehydrations;
-    }
 }
 
 /// Per-domain budget accounting for the unified [`crate::RetryPolicy`]:
@@ -568,13 +505,6 @@ impl RetryStats {
     pub fn any(&self) -> bool {
         *self != Self::default()
     }
-
-    /// Merges another record into this one (summing all fields).
-    pub fn merge(&mut self, other: &RetryStats) {
-        self.media_attempts += other.media_attempts;
-        self.recovery_attempts += other.recovery_attempts;
-        self.dram_attempts += other.dram_attempts;
-    }
 }
 
 /// Volatile persist-buffer (WPQ) conservation ledger.
@@ -594,8 +524,13 @@ pub struct WpqStats {
     pub dropped_at_crash: u64,
     /// Explicit fence (force-drain) operations issued by the controller.
     pub fences: u64,
-    /// Cycles the issuer spent stalled on fences and full-buffer
-    /// back-pressure.
+    /// Sum of the waits charged by fences and by full-buffer
+    /// back-pressure: each fence adds the cycles from its call until the
+    /// buffer drained, and each push into a full buffer adds the cycles
+    /// from its own issue cycle until a slot freed. Waits of pushes issued
+    /// together overlap and are each counted whole, so this is a sum of
+    /// per-operation waits, not the issuer's stalled wall-clock time, and
+    /// can exceed the run's simulated cycles.
     pub fence_stall_cycles: Cycle,
     /// Largest number of entries simultaneously pending across all banks —
     /// the maximum window within which a crash can reorder persists.
@@ -614,17 +549,6 @@ impl WpqStats {
     #[must_use]
     pub fn any(&self) -> bool {
         *self != Self::default()
-    }
-
-    /// Merges another record into this one (summing the flow counters,
-    /// taking the maximum of the window high-water mark).
-    pub fn merge(&mut self, other: &WpqStats) {
-        self.enqueued += other.enqueued;
-        self.drained += other.drained;
-        self.dropped_at_crash += other.dropped_at_crash;
-        self.fences += other.fences;
-        self.fence_stall_cycles += other.fence_stall_cycles;
-        self.reorder_window_max = self.reorder_window_max.max(other.reorder_window_max);
     }
 }
 
@@ -820,43 +744,6 @@ impl MemStats {
         }
         self.dram_write_bytes as f64 / 1e6 / secs
     }
-
-    /// Merges another statistics record into this one (summing all fields).
-    pub fn merge(&mut self, other: &MemStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.dram_reads += other.dram_reads;
-        self.dram_writes += other.dram_writes;
-        self.nvm_reads += other.nvm_reads;
-        self.nvm_writes += other.nvm_writes;
-        self.dram_write_bytes += other.dram_write_bytes;
-        self.nvm_write_bytes_cpu += other.nvm_write_bytes_cpu;
-        self.nvm_write_bytes_ckpt += other.nvm_write_bytes_ckpt;
-        self.nvm_write_bytes_migration += other.nvm_write_bytes_migration;
-        self.nvm_read_bytes += other.nvm_read_bytes;
-        self.dram_read_bytes += other.dram_read_bytes;
-        self.epochs_completed += other.epochs_completed;
-        self.ckpt_busy_cycles += other.ckpt_busy_cycles;
-        self.ckpt_stall_cycles += other.ckpt_stall_cycles;
-        self.service_cycles += other.service_cycles;
-        self.pages_promoted += other.pages_promoted;
-        self.pages_demoted += other.pages_demoted;
-        self.crashes_injected += other.crashes_injected;
-        self.recoveries_to_clast += other.recoveries_to_clast;
-        self.recoveries_to_cpenult += other.recoveries_to_cpenult;
-        self.recoveries_unrecoverable += other.recoveries_unrecoverable;
-        self.wq_writes_lost += other.wq_writes_lost;
-        self.nested_crashes += other.nested_crashes;
-        self.recovery_cycles += other.recovery_cycles;
-        self.media.merge(&other.media);
-        self.dram.merge(&other.dram);
-        self.security.merge(&other.security);
-        self.health.merge(&other.health);
-        self.retry.merge(&other.retry);
-        self.wpq.merge(&other.wpq);
-        self.perf.merge(&other.perf);
-        self.crash_events.extend(other.crash_events.iter().cloned());
-    }
 }
 
 /// Simulator fast-path counters: how often the controller provably skipped
@@ -881,11 +768,6 @@ pub struct PerfStats {
 }
 
 impl PerfStats {
-    /// Merges another record into this one (summing all fields).
-    pub fn merge(&mut self, other: &PerfStats) {
-        self.nvm_quiet_reads += other.nvm_quiet_reads;
-        self.dram_quiet_reads += other.dram_quiet_reads;
-    }
 }
 
 impl fmt::Display for MemStats {
@@ -1055,23 +937,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_everything() {
-        let mut a = MemStats::new();
-        a.reads = 1;
-        a.ckpt_stall_cycles = Cycle::new(10);
-        a.pages_promoted = 2;
-        let mut b = MemStats::new();
-        b.reads = 2;
-        b.ckpt_stall_cycles = Cycle::new(5);
-        b.pages_demoted = 1;
-        a.merge(&b);
-        assert_eq!(a.reads, 3);
-        assert_eq!(a.ckpt_stall_cycles, Cycle::new(15));
-        assert_eq!(a.pages_promoted, 2);
-        assert_eq!(a.pages_demoted, 1);
-    }
-
-    #[test]
     fn total_accesses() {
         let mut s = MemStats::new();
         s.reads = 7;
@@ -1115,19 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_concatenates_crash_events() {
-        let mut a = MemStats::new();
-        a.record_crash(crash_event(1, RecoveryOutcome::CLast));
-        let mut b = MemStats::new();
-        b.record_crash(crash_event(2, RecoveryOutcome::CPenult));
-        b.wq_writes_lost = 5;
-        a.merge(&b);
-        assert_eq!(a.crashes_injected, 2);
-        assert_eq!(a.crash_events.len(), 2);
-        assert_eq!(a.wq_writes_lost, 5);
-    }
-
-    #[test]
     fn fault_kind_display() {
         assert_eq!(FaultKind::BitFlip.to_string(), "bit-flip");
         assert_eq!(FaultKind::StuckAt.to_string(), "stuck-at");
@@ -1150,15 +1002,7 @@ mod tests {
         m.retries = 3;
         assert_eq!(m.total_faults(), 4);
         assert!(m.any());
-
-        let mut other = MediaStats::default();
-        other.record_fault(FaultKind::BitFlip);
-        other.remaps = 2;
-        other.crc_check_cycles = Cycle::new(10);
-        m.merge(&other);
-        assert_eq!(m.bit_flips, 2);
-        assert_eq!(m.remaps, 2);
-        assert_eq!(m.crc_check_cycles, Cycle::new(10));
+        assert_eq!((m.bit_flips, m.stuck_faults, m.torn_writes, m.meta_corruptions), (1, 1, 1, 1));
     }
 
     #[test]
@@ -1180,19 +1024,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_nested_and_recovery_cycles() {
-        let mut a = MemStats::new();
-        a.nested_crashes = 2;
-        a.recovery_cycles = Cycle::new(100);
-        let mut b = MemStats::new();
-        b.nested_crashes = 3;
-        b.recovery_cycles = Cycle::new(50);
-        a.merge(&b);
-        assert_eq!(a.nested_crashes, 5);
-        assert_eq!(a.recovery_cycles, Cycle::new(150));
-    }
-
-    #[test]
     fn recovery_step_display() {
         assert_eq!(RecoveryStep::ReadCommitRecord.to_string(), "read-commit-record");
         assert_eq!(RecoveryStep::VerifyClast.to_string(), "verify-clast");
@@ -1209,7 +1040,8 @@ mod tests {
         assert!(m.any(), "spare exhaustion alone is media activity");
         let other = MediaStats { wal_seals: 4, wal_redos: 2, ..Default::default() };
         assert!(other.any());
-        m.merge(&other);
+        m.wal_seals = other.wal_seals;
+        m.wal_redos = other.wal_redos;
         assert_eq!((m.spare_exhausted, m.wal_seals, m.wal_redos), (1, 4, 2));
         let mut s = MemStats::new();
         s.media = m;
@@ -1254,24 +1086,14 @@ mod tests {
         // All four fates accounted: no poison outstanding.
         assert_eq!(d.poison_accounted(), d.poisoned_blocks);
 
-        let mut a = MemStats::new();
-        a.dram.merge(&d);
-        let mut b = MemStats::new();
-        b.dram.merge(&d);
-        a.merge(&b);
-        assert_eq!(a.dram.corrected_flips, 10);
-        assert_eq!(a.dram.poisoned_blocks, 8);
-        assert_eq!(a.dram.poison_refetched, 2);
-        assert_eq!(a.dram.refetch_retries, 4);
-        assert_eq!(a.dram.poison_dropped, 2);
-        assert_eq!(a.dram.poison_overwritten, 2);
-        assert_eq!(a.dram.poison_cleared_by_crash, 2);
-        assert_eq!(a.dram.quarantined_pages, 2);
-        assert_eq!(a.dram.quarantine_dropped_bytes, 8192);
+        assert_eq!(d.corrected_flips, 5);
+        assert_eq!(d.refetch_retries, 2);
+        assert_eq!(d.quarantine_dropped_bytes, 4096);
 
+        let a = MemStats { dram: d, ..MemStats::new() };
         let text = a.to_string();
         assert!(text.contains("dram("), "text={text}");
-        assert!(text.contains("quarantines=2"), "text={text}");
+        assert!(text.contains("quarantines=1"), "text={text}");
         assert!(!MemStats::new().to_string().contains("dram("));
     }
 
@@ -1291,11 +1113,6 @@ mod tests {
         assert!(s.to_string().contains("unrecoverable=1"));
         assert_eq!(RecoveryOutcome::Unrecoverable.to_string(), "unrecoverable");
         assert_eq!(RecoveryStep::VerifyMacs.to_string(), "verify-macs");
-
-        let mut b = MemStats::new();
-        b.record_crash(crash_event(30, RecoveryOutcome::Unrecoverable));
-        s.merge(&b);
-        assert_eq!(s.recoveries_unrecoverable, 2);
     }
 
     #[test]
@@ -1324,34 +1141,15 @@ mod tests {
         assert_eq!(c.detections_accounted(), c.tampers_detected);
         assert!(c.tampers_injected >= c.tampers_detected);
 
-        let mut a = MemStats::new();
-        a.security.merge(&c);
-        let mut b = MemStats::new();
-        b.security.merge(&c);
-        a.merge(&b);
-        assert_eq!(a.security.blocks_encrypted, 20);
-        assert_eq!(a.security.blocks_verified, 16);
-        assert_eq!(a.security.counter_persists, 6);
-        assert_eq!(a.security.counter_bytes, 48);
-        assert_eq!(a.security.tree_node_persists, 10);
-        assert_eq!(a.security.tree_bytes, 640);
-        assert_eq!(a.security.root_persists, 6);
-        assert_eq!(a.security.counters_replayed, 4);
-        assert_eq!(a.security.crypto_cycles, Cycle::new(800));
-        assert_eq!(a.security.tampers_injected, 6);
-        assert_eq!(a.security.tampers_detected, 4);
-        assert_eq!(a.security.classified_tamper, 2);
-        assert_eq!(a.security.classified_torn, 2);
-        assert_eq!(a.security.classified_media, 0);
-        assert_eq!(a.security.verify_fallbacks, 2);
-        assert_eq!(a.security.unrecoverable, 2);
-        // Conservation survives the merge.
-        assert_eq!(a.security.classified_total(), a.security.tampers_detected);
-        assert_eq!(a.security.detections_accounted(), a.security.tampers_detected);
+        assert_eq!((c.blocks_encrypted, c.blocks_verified, c.crypto_cycles), (10, 8, Cycle::new(400)));
+        assert_eq!((c.counter_persists, c.counter_bytes, c.root_persists), (3, 24, 3));
+        assert_eq!((c.tree_node_persists, c.tree_bytes, c.counters_replayed), (5, 320, 2));
+        assert_eq!((c.classified_media, c.verify_fallbacks, c.unrecoverable), (0, 1, 1));
 
+        let a = MemStats { security: c, ..MemStats::new() };
         let text = a.to_string();
         assert!(text.contains("security("), "text={text}");
-        assert!(text.contains("tampers=4/6"), "text={text}");
+        assert!(text.contains("tampers=2/3"), "text={text}");
         assert!(!MemStats::new().to_string().contains("security("));
     }
 
@@ -1384,24 +1182,13 @@ mod tests {
         // descended.
         assert!(h.promotions <= h.demotions);
 
-        let mut a = MemStats::new();
-        a.health.merge(&h);
-        let mut b = MemStats::new();
-        b.health.merge(&h);
-        a.merge(&b);
-        assert_eq!(a.health.evaluations, 20);
-        assert_eq!(a.health.demotions, 6);
-        assert_eq!(a.health.promotions, 4);
-        assert_eq!(a.health.stores_rejected, 10);
-        assert_eq!(a.health.emergency_checkpoints, 8);
-        assert_eq!(a.health.scrub_deferrals, 2);
-        assert_eq!(a.health.rung_persists, 20);
-        assert_eq!(a.health.rehydrations, 4);
-        assert!(a.health.promotions <= a.health.demotions);
+        assert_eq!((h.evaluations, h.stores_rejected, h.emergency_checkpoints), (10, 5, 4));
+        assert_eq!((h.scrub_deferrals, h.rung_persists, h.rehydrations), (1, 10, 2));
 
+        let a = MemStats { health: h, ..MemStats::new() };
         let text = a.to_string();
         assert!(text.contains("health("), "text={text}");
-        assert!(text.contains("rejected=10"), "text={text}");
+        assert!(text.contains("rejected=5"), "text={text}");
         assert!(!MemStats::new().to_string().contains("health("));
     }
 
@@ -1415,18 +1202,9 @@ mod tests {
         assert!(r.any());
         assert_eq!(r.attempts_total(), 9);
 
-        let mut a = MemStats::new();
-        a.retry.merge(&r);
-        let mut b = MemStats::new();
-        b.retry.merge(&r);
-        a.merge(&b);
-        assert_eq!(a.retry.media_attempts, 8);
-        assert_eq!(a.retry.recovery_attempts, 4);
-        assert_eq!(a.retry.dram_attempts, 6);
-        assert_eq!(a.retry.attempts_total(), 18);
-
+        let a = MemStats { retry: r, ..MemStats::new() };
         let text = a.to_string();
-        assert!(text.contains("retry(media=8 recovery=4 dram=6)"), "text={text}");
+        assert!(text.contains("retry(media=4 recovery=2 dram=3)"), "text={text}");
         assert!(!MemStats::new().to_string().contains("retry("));
     }
 
@@ -1445,40 +1223,12 @@ mod tests {
         assert_eq!(w.outstanding(), 1);
         assert_eq!(w.enqueued, w.drained + w.dropped_at_crash + w.outstanding());
 
-        let mut a = MemStats::new();
-        a.wpq.merge(&w);
-        let mut b = MemStats::new();
-        b.wpq.merge(&w);
-        b.wpq.reorder_window_max = 9;
-        a.merge(&b);
-        assert_eq!(a.wpq.enqueued, 20);
-        assert_eq!(a.wpq.drained, 12);
-        assert_eq!(a.wpq.dropped_at_crash, 6);
-        assert_eq!(a.wpq.fences, 4);
-        assert_eq!(a.wpq.fence_stall_cycles, Cycle::new(80));
-        // The window is a high-water mark: merge takes the max, not the sum.
-        assert_eq!(a.wpq.reorder_window_max, 9);
-        assert_eq!(a.wpq.outstanding(), 2);
+        assert_eq!((w.fences, w.fence_stall_cycles, w.reorder_window_max), (2, Cycle::new(40), 5));
 
+        let a = MemStats { wpq: w, ..MemStats::new() };
         let text = a.to_string();
-        assert!(text.contains("wpq(enq=20 drained=12 dropped=6 outstanding=2"), "text={text}");
-        assert!(text.contains("fences=4"), "text={text}");
+        assert!(text.contains("wpq(enq=10 drained=6 dropped=3 outstanding=1"), "text={text}");
+        assert!(text.contains("fences=2"), "text={text}");
         assert!(!MemStats::new().to_string().contains("wpq("));
-    }
-
-    #[test]
-    fn media_stats_merge_via_memstats() {
-        let mut a = MemStats::new();
-        a.media.scrub_repairs = 1;
-        let mut b = MemStats::new();
-        b.media.scrub_repairs = 2;
-        b.media.integrity_fallbacks = 1;
-        b.media.silent_corruptions = 4;
-        b.media.crc_checked_blocks = 8;
-        a.merge(&b);
-        assert_eq!(a.media.scrub_repairs, 3);
-        assert_eq!(a.media.integrity_fallbacks, 1);
-        assert_eq!(a.media.silent_corruptions, 4);
-        assert_eq!(a.media.crc_checked_blocks, 8);
     }
 }

@@ -12,7 +12,7 @@
 //! | [`core`] | **the contribution**: BTT/PTT dual-scheme checkpointing controller |
 //! | [`baselines`] | Ideal DRAM, Ideal NVM, Journaling, Shadow Paging |
 //! | [`workloads`] | micro patterns, instrumented KV stores, SPEC-like traces |
-//! | [`bench`] | the experiment harness regenerating every paper figure |
+//! | [`bench`](mod@bench) | the experiment harness regenerating every paper figure |
 //!
 //! This facade crate re-exports everything and hosts the runnable examples
 //! (`examples/`) and cross-crate integration tests (`tests/`).
